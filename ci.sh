@@ -59,15 +59,20 @@ if ! grep -q '"trace_store"' BENCH_kernel.json; then
 fi
 echo "ok: BENCH_kernel.json written (perf gate passed)"
 
-echo "== perfbench: unit tests and an io_qos smoke run =="
+echo "== perfbench: unit tests and io_qos/fleet/pdes_threads smoke runs =="
 # The repository benchmark (perfbench/, its own workspace) builds against
-# the crates' public API only; run its tests and one short workload so API
+# the crates' public API only; run its tests and short workloads so API
 # drift that breaks the benchmark fails here rather than at measurement
-# time. The smoke run must pass its own correctness gate (exit 0).
+# time. Each smoke run must pass its own correctness gate (exit 0): the
+# digest check across repetitions and the strict-audit run. fleet steps
+# every machine on the partitioned kernel's inline driver, pdes_threads
+# runs the threaded driver, so both drivers are gated here.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload io_qos --seconds 1 >/dev/null
-echo "ok: perfbench tests pass and io_qos runs correct"
+for workload in io_qos fleet pdes_threads; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 >/dev/null
+done
+echo "ok: perfbench tests pass and io_qos, fleet and pdes_threads run correct"
 
 echo "== trace+audit smoke: strict-audited fig07 emits clean JSONL =="
 # Run in a scratch cwd so the figure's JSON dump cannot clobber the

@@ -328,15 +328,18 @@ impl<E: 'static> Simulation<E> {
     }
 
     /// Delivers every pending event strictly before `end_excl` (the
-    /// partitioned kernel's epoch window). Does not advance the clock
-    /// past the last delivered event and does not consume a stop request —
-    /// the epoch coordinator observes stops at the barrier.
-    fn run_window(&mut self, end_excl: Time) {
-        while let Some(t) = self.queue.next_time() {
-            if t >= end_excl {
-                break;
+    /// partitioned kernel's epoch window) and returns the earliest pending
+    /// time left, the one that ended the window. Does not advance the
+    /// clock past the last delivered event and does not consume a stop
+    /// request — the epoch coordinator observes stops at the barrier.
+    fn run_window(&mut self, end_excl: Time) -> Option<Time> {
+        loop {
+            match self.queue.next_time() {
+                Some(t) if t < end_excl => {
+                    self.step();
+                }
+                head => return head,
             }
-            self.step();
         }
     }
 
@@ -401,6 +404,101 @@ impl<E: 'static> Default for Simulation<E> {
 struct DomainState<E> {
     sim: Simulation<E>,
     trace: trace::DomainBuffer,
+    /// The domain queue's earliest pending time, cached so that planning
+    /// an epoch peeks no queue: set by the window that stopped at it and
+    /// lowered by every post and arrival. Always equals what
+    /// `sim.queue.next_time()` would return.
+    head: Option<Time>,
+}
+
+impl<E: 'static> DomainState<E> {
+    #[inline]
+    fn lower_head(&mut self, at: Time) {
+        if self.head.is_none_or(|h| at < h) {
+            self.head = Some(at);
+        }
+    }
+
+    /// Enqueues a cross-domain arrival under the seq its sender allocated.
+    #[inline]
+    fn arrive(&mut self, ev: ScheduledEvent<E>) {
+        self.lower_head(ev.time);
+        self.sim.queue.push_with_seq(ev.time, ev.seq, ev.dst, ev.event);
+    }
+
+    /// One domain window, the step both drivers run: delivers every event
+    /// before `end_excl`, caches the new head, and leaves what the
+    /// exchange needs in `out` — the stop flag, the staged trace records
+    /// when `live_trace` is set, and the cross-domain sends. The outbox is
+    /// swapped into `out`, not moved, so both vectors keep their capacity
+    /// from epoch to epoch. A domain whose head is at or past `end_excl`
+    /// has nothing to deliver and is skipped.
+    ///
+    /// With `live_trace` off the caller has parked one inert buffer on
+    /// this thread for the whole run call (see [`InertTrace`]).
+    fn run_window(&mut self, end_excl: Time, live_trace: bool, out: &mut WindowOut<E>) {
+        if self.head.is_none_or(|h| h >= end_excl) {
+            return;
+        }
+        if live_trace {
+            trace::enter_domain(std::mem::take(&mut self.trace));
+        }
+        self.head = self.sim.run_window(end_excl);
+        if live_trace {
+            self.trace = trace::exit_domain();
+            out.lines.extend(self.trace.drain_staged());
+        }
+        let route = self.sim.route.as_mut().expect("domain simulations always route");
+        if !route.outbox.is_empty() {
+            debug_assert!(out.outbox.is_empty(), "last epoch's sends were not exchanged");
+            std::mem::swap(&mut route.outbox, &mut out.outbox);
+        }
+        out.stop |= self.sim.take_stop();
+    }
+}
+
+/// What one domain window leaves for the epoch exchange.
+struct WindowOut<E> {
+    /// Cross-domain sends, each carrying its sender-allocated seq.
+    outbox: Vec<ScheduledEvent<E>>,
+    /// Staged trace records (live tracing only), in emission order.
+    lines: Vec<(u64, trace::Staged)>,
+    /// A component requested a stop.
+    stop: bool,
+    /// The domain's head after the window, for a coordinator that cannot
+    /// read it from the domain (the threaded driver's workers own theirs).
+    next: Option<Time>,
+}
+
+impl<E> Default for WindowOut<E> {
+    fn default() -> Self {
+        WindowOut {
+            outbox: Vec::new(),
+            lines: Vec::new(),
+            stop: false,
+            next: None,
+        }
+    }
+}
+
+/// Parks one inert trace buffer on the current thread until dropped: the
+/// trace fast path. When no domain traces, parking each domain's own inert
+/// buffer around each window would drop exactly the emits one buffer
+/// parked for the whole run call drops, since inert buffers are all
+/// alike. Dropping unparks it, on unwind too.
+struct InertTrace;
+
+impl InertTrace {
+    fn park() -> Self {
+        trace::enter_domain(trace::DomainBuffer::default());
+        InertTrace
+    }
+}
+
+impl Drop for InertTrace {
+    fn drop(&mut self) {
+        drop(trace::exit_domain());
+    }
 }
 
 /// What the epoch coordinator decides to do next.
@@ -454,32 +552,32 @@ fn plan_epoch(
     EpochPlan::Window(end)
 }
 
-/// Per-epoch report a worker leaves for the coordinator.
-struct EpochOut<E> {
-    outbox: Vec<ScheduledEvent<E>>,
-    lines: Vec<(u64, trace::Staged)>,
-    next: Option<Time>,
-    stop: bool,
-}
-
-impl<E> Default for EpochOut<E> {
-    fn default() -> Self {
-        EpochOut {
-            outbox: Vec::new(),
-            lines: Vec::new(),
-            next: None,
-            stop: false,
-        }
+/// Asserts the conservative-PDES bound on one cross-domain arrival: it
+/// must land at or after `min_arrival`, the epoch horizon the receivers
+/// drained to, or the partition plan undercut a real link latency. Both
+/// drivers route every cross-domain send through this check.
+#[inline]
+fn assert_arrival<E>(ev: &ScheduledEvent<E>, min_arrival: Time) {
+    if ev.time < min_arrival {
+        lookahead_violated(ev.dst, ev.time, min_arrival);
     }
 }
 
-/// Routes one epoch's cross-domain sends: serial-bound events go straight
-/// into the serial queue (the coordinator owns it), worker-bound events are
-/// staged per destination for [`flush_staged`]. Every arrival must be at or
-/// after `min_arrival` — the epoch horizon the receivers drained to — or
-/// the partition plan undercut a real link latency.
-fn route_outbox<E>(
-    outbox: Vec<ScheduledEvent<E>>,
+#[cold]
+#[inline(never)]
+fn lookahead_violated(dst: ComponentId, at: Time, min_arrival: Time) -> ! {
+    panic!(
+        "cross-domain event for {dst:?} arrives at {at:?}, before the epoch horizon \
+         {min_arrival:?}: the partition plan's lookahead exceeds this link's real latency"
+    );
+}
+
+/// Routes one epoch's cross-domain sends for the threaded driver, leaving
+/// `outbox` empty with its capacity: serial-bound events go straight into
+/// the serial queue (the coordinator owns it), worker-bound events are
+/// staged per destination for [`flush_staged`].
+fn route_outbox<E: 'static>(
+    outbox: &mut Vec<ScheduledEvent<E>>,
     min_arrival: Time,
     domain_of: &[u32],
     serial_idx: Option<usize>,
@@ -487,21 +585,14 @@ fn route_outbox<E>(
     staged: &mut [Vec<ScheduledEvent<E>>],
     inboxes: &[Mailbox<ScheduledEvent<E>>],
 ) {
-    for ev in outbox {
-        assert!(
-            ev.time >= min_arrival,
-            "cross-domain event for {:?} arrives at {:?}, before the epoch horizon {:?}: \
-             the partition plan's lookahead exceeds this link's real latency",
-            ev.dst,
-            ev.time,
-            min_arrival
-        );
+    for ev in outbox.drain(..) {
+        assert_arrival(&ev, min_arrival);
         let dest = domain_of[ev.dst.raw() as usize] as usize;
         if Some(dest) == serial_idx {
-            let state = serial_state
+            serial_state
                 .as_mut()
-                .expect("serial-bound event without a serial domain");
-            state.sim.queue.push_with_seq(ev.time, ev.seq, ev.dst, ev.event);
+                .expect("serial-bound event without a serial domain")
+                .arrive(ev);
         } else {
             if staged[dest].capacity() == 0 {
                 staged[dest] = inboxes[dest].lease();
@@ -683,6 +774,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                 DomainState {
                     sim: dom,
                     trace: trace::DomainBuffer::snapshot(),
+                    head: None,
                 }
             })
             .collect();
@@ -696,6 +788,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         // at any worker count.
         while let Some(ev) = queue.pop() {
             let d = domain_of[ev.dst.raw() as usize] as usize;
+            domains[d].lower_head(ev.time);
             domains[d].sim.queue.push(ev.time, ev.dst, ev.event);
         }
 
@@ -766,9 +859,10 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
     /// Schedules an event from outside the simulation, `delay` after the
     /// committed time, directly into the owning domain's queue.
     pub fn post(&mut self, dst: ComponentId, delay: Time, event: E) {
-        let d = self.domain_of[dst.raw() as usize] as usize;
+        let dom = &mut self.domains[self.domain_of[dst.raw() as usize] as usize];
         let at = self.now + delay;
-        self.domains[d].sim.queue.push(at, dst, event);
+        dom.lower_head(at);
+        dom.sim.queue.push(at, dst, event);
     }
 
     /// Runs `f` with a typed mutable reference to component `id` (see
@@ -815,11 +909,6 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         self.run_until(deadline);
     }
 
-    /// How many worker threads the next advance will use. Collapses to the
-    /// inline driver when only one worker domain exists or when the fault
-    /// layer is installed (its run state is thread-local and scoped worker
-    /// threads are born fresh each call, which would diverge from the
-    /// sequential schedule).
     /// Pins the worker count, bypassing the `PARD_WORKERS` /
     /// `PARD_THREADS` / machine-parallelism heuristics (`None` restores
     /// them). The schedule is identical at every setting; this only
@@ -829,6 +918,11 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         self.forced_workers = workers;
     }
 
+    /// How many worker threads the next advance will use. Collapses to the
+    /// inline driver when only one worker domain exists or when the fault
+    /// layer is installed (its run state is thread-local and scoped worker
+    /// threads are born fresh each call, which would diverge from the
+    /// sequential schedule).
     fn worker_count(&self) -> usize {
         let worker_domains = self.domains.len() - usize::from(self.serial.is_some());
         if worker_domains <= 1 || crate::fault::installed() {
@@ -865,104 +959,82 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
     }
 
     fn advance(&mut self, end_excl: Time) -> bool {
+        debug_assert!(
+            self.domains.iter().all(|d| d.head == d.sim.queue.peek_time()),
+            "a cached domain head drifted from its queue"
+        );
         let workers = self.worker_count();
         // Install this machine's ledger scope for the calling thread (the
         // inline driver's windows and the threaded driver's serial domain
         // both run here); worker threads install it themselves.
         let prev_scope = audit::set_ledger_scope(self.audit_scope);
+        // Every buffer snapshots the same tracer at construction, so the
+        // domains trace all together or not at all.
+        let live_trace = self.domains.iter().any(|d| !d.trace.is_inert());
+        let _inert = (!live_trace).then(InertTrace::park);
         let stopped = if workers <= 1 {
-            self.advance_inline(end_excl)
+            self.advance_inline(end_excl, live_trace)
         } else {
-            self.advance_threaded(end_excl, workers)
+            self.advance_threaded(end_excl, workers, live_trace)
         };
         audit::set_ledger_scope(prev_scope);
         stopped
     }
 
-    /// Runs domain `d`'s window with its trace buffer entered on this
-    /// thread.
-    fn run_domain_window(&mut self, d: usize, end_excl: Time) {
-        let dom = &mut self.domains[d];
-        trace::enter_domain(std::mem::take(&mut dom.trace));
-        dom.sim.run_window(end_excl);
-        dom.trace = trace::exit_domain();
-    }
-
-    /// Drains every domain's outbox into destination queues (arrivals must
-    /// be at or after `min_arrival`) and merges this epoch's trace lines.
-    fn exchange(&mut self, min_arrival: Time) {
+    /// Routes every window's cross-domain sends straight into their
+    /// destination queues (each checked by [`assert_arrival`] against
+    /// `min_arrival`), merges this epoch's trace records, and returns
+    /// whether any window requested a stop.
+    fn exchange(&mut self, min_arrival: Time, outs: &mut [WindowOut<E>]) -> bool {
+        let mut stopped = false;
         let mut lines: Vec<(u64, u32, trace::Staged)> = Vec::new();
-        for d in 0..self.domains.len() {
-            for (units, staged) in self.domains[d].trace.drain_staged() {
-                lines.push((units, d as u32, staged));
-            }
-            let outbox = {
-                let route = self.domains[d]
-                    .sim
-                    .route
-                    .as_mut()
-                    .expect("domain simulations always route");
-                std::mem::take(&mut route.outbox)
-            };
-            for ev in outbox {
-                assert!(
-                    ev.time >= min_arrival,
-                    "cross-domain event for {:?} arrives at {:?}, before the epoch horizon {:?}: \
-                     the partition plan's lookahead exceeds this link's real latency",
-                    ev.dst,
-                    ev.time,
-                    min_arrival
-                );
-                let dest = self.domain_of[ev.dst.raw() as usize] as usize;
-                self.domains[dest]
-                    .sim
-                    .queue
-                    .push_with_seq(ev.time, ev.seq, ev.dst, ev.event);
+        for (d, out) in outs.iter_mut().enumerate() {
+            stopped |= std::mem::take(&mut out.stop);
+            lines.extend(out.lines.drain(..).map(|(t, rec)| (t, d as u32, rec)));
+            for ev in out.outbox.drain(..) {
+                assert_arrival(&ev, min_arrival);
+                self.domains[self.domain_of[ev.dst.raw() as usize] as usize].arrive(ev);
             }
         }
         sink_epoch_trace(lines);
+        stopped
     }
 
     /// The single-thread driver: the exact epoch sequence of the threaded
     /// driver, executed in domain order on the calling thread. Returns
     /// `true` if a stop was requested.
-    fn advance_inline(&mut self, end_excl: Time) -> bool {
+    ///
+    /// An epoch costs a few compares beyond the events it delivers: the
+    /// planner reads cached heads, domains with nothing before the
+    /// horizon are skipped, and the exchange allocates nothing.
+    fn advance_inline(&mut self, end_excl: Time, live_trace: bool) -> bool {
+        let mut outs: Vec<WindowOut<E>> =
+            self.domains.iter().map(|_| WindowOut::default()).collect();
         loop {
-            let min_pending = self
-                .domains
-                .iter_mut()
-                .filter_map(|d| d.sim.queue.next_time())
-                .min();
-            let serial_peek = self
-                .serial
-                .and_then(|s| self.domains[s as usize].sim.queue.next_time());
-            match plan_epoch(self.horizon, min_pending, serial_peek, self.lookahead, end_excl) {
+            let min_pending = self.domains.iter().filter_map(|d| d.head).min();
+            let serial_peek = self.serial.and_then(|s| self.domains[s as usize].head);
+            let plan = plan_epoch(self.horizon, min_pending, serial_peek, self.lookahead, end_excl);
+            let horizon = match plan {
                 EpochPlan::Done => return false,
                 EpochPlan::Serial(ts) => {
                     let s = self.serial.expect("serial plan without a serial domain") as usize;
-                    self.run_domain_window(s, Time::from_units(ts.units().saturating_add(1)));
-                    let stopped = self.domains[s].sim.take_stop();
-                    self.exchange(ts);
-                    self.horizon = ts;
-                    if stopped {
-                        return true;
-                    }
+                    let end = Time::from_units(ts.units().saturating_add(1));
+                    self.domains[s].run_window(end, live_trace, &mut outs[s]);
+                    ts
                 }
                 EpochPlan::Window(e) => {
-                    let mut stopped = false;
-                    for d in 0..self.domains.len() {
-                        if Some(d as u32) == self.serial {
-                            continue;
+                    for (d, dom) in self.domains.iter_mut().enumerate() {
+                        if Some(d as u32) != self.serial {
+                            dom.run_window(e, live_trace, &mut outs[d]);
                         }
-                        self.run_domain_window(d, e);
-                        stopped |= self.domains[d].sim.take_stop();
                     }
-                    self.exchange(e);
-                    self.horizon = e;
-                    if stopped {
-                        return true;
-                    }
+                    e
                 }
+            };
+            let stopped = self.exchange(horizon, &mut outs);
+            self.horizon = horizon;
+            if stopped {
+                return true;
             }
         }
     }
@@ -974,11 +1046,12 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
     /// epochs, and runs the serial domain itself. Returns `true` if a stop
     /// was requested.
     ///
-    /// Worker panics (including strict-audit aborts) are caught at the
-    /// epoch boundary, reported through the barrier so every thread exits
+    /// Panics on any thread (including strict-audit aborts and the
+    /// lookahead check on the coordinator) are caught at the epoch
+    /// boundary, reported through the barrier so every thread exits
     /// cleanly, and resumed on the coordinator after the domains have been
     /// reassembled.
-    fn advance_threaded(&mut self, end_excl: Time, workers: usize) -> bool {
+    fn advance_threaded(&mut self, end_excl: Time, workers: usize, live_trace: bool) -> bool {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
         let ndom = self.domains.len();
@@ -987,11 +1060,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         let domain_of = self.domain_of.clone();
         let lookahead = self.lookahead;
         let mut horizon = self.horizon;
-        let mut next: Vec<Option<Time>> = self
-            .domains
-            .iter_mut()
-            .map(|d| d.sim.queue.next_time())
-            .collect();
+        let mut next: Vec<Option<Time>> = self.domains.iter().map(|d| d.head).collect();
 
         let slots: Vec<Mutex<Option<DomainState<E>>>> = self
             .domains
@@ -1003,8 +1072,8 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         let worker_domains: Vec<usize> = (0..ndom).filter(|&d| Some(d) != serial_idx).collect();
 
         let inboxes: Vec<Mailbox<ScheduledEvent<E>>> = (0..ndom).map(|_| Mailbox::new()).collect();
-        let results: Vec<Mutex<EpochOut<E>>> =
-            (0..ndom).map(|_| Mutex::new(EpochOut::default())).collect();
+        let results: Vec<Mutex<WindowOut<E>>> =
+            (0..ndom).map(|_| Mutex::new(WindowOut::default())).collect();
         let epoch_end = AtomicU64::new(0);
         let generation = AtomicU64::new(0);
         let done: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -1028,6 +1097,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                 let panic_slot = &panic_slot;
                 scope.spawn(move || {
                     audit::set_ledger_scope(audit_scope);
+                    let _inert = (!live_trace).then(InertTrace::park);
                     let mut states: Vec<(usize, DomainState<E>)> = mine
                         .iter()
                         .map(|&d| (d, slots[d].lock().take().expect("domain unclaimed")))
@@ -1053,28 +1123,16 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                                 // inside this window.
                                 inboxes[*d].take_into(&mut scratch);
                                 for ev in scratch.drain(..) {
-                                    state.sim.queue.push_with_seq(ev.time, ev.seq, ev.dst, ev.event);
+                                    state.arrive(ev);
                                 }
-                                trace::enter_domain(std::mem::take(&mut state.trace));
-                                state.sim.run_window(e);
-                                state.trace = trace::exit_domain();
                                 let mut out = results[*d].lock();
-                                out.outbox = std::mem::take(
-                                    &mut state
-                                        .sim
-                                        .route
-                                        .as_mut()
-                                        .expect("domain simulations always route")
-                                        .outbox,
-                                );
-                                out.lines = state.trace.drain_staged();
-                                out.next = state.sim.queue.next_time();
-                                out.stop = state.sim.take_stop();
+                                state.run_window(e, live_trace, &mut out);
+                                out.next = state.head;
                             }
                         }));
                         let failed = outcome.is_err();
                         if let Err(payload) = outcome {
-                            *panic_slot.lock() = Some(payload);
+                            panic_slot.lock().get_or_insert(payload);
                         }
                         done.store(my_gen, Ordering::Release);
                         if failed {
@@ -1089,15 +1147,17 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
 
             let mut gen = 0u64;
             let mut staged: Vec<Vec<ScheduledEvent<E>>> = (0..ndom).map(|_| Vec::new()).collect();
-            loop {
-                let serial_peek = serial_state
-                    .as_mut()
-                    .and_then(|s| s.sim.queue.next_time());
+            let mut serial_out = WindowOut::default();
+            // Workers are parked at the barrier whenever the coordinator
+            // can panic, so catching here lets it release them with EXIT.
+            let coordinated = catch_unwind(AssertUnwindSafe(|| loop {
+                let serial_peek = serial_state.as_ref().and_then(|s| s.head);
                 let min_pending = worker_domains
                     .iter()
                     .filter_map(|&d| next[d])
                     .chain(serial_peek)
                     .min();
+                let mut lines: Vec<(u64, u32, trace::Staged)> = Vec::new();
                 match plan_epoch(horizon, min_pending, serial_peek, lookahead, end_excl) {
                     EpochPlan::Done => break,
                     EpochPlan::Serial(ts) => {
@@ -1106,27 +1166,13 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                         let state = serial_state
                             .as_mut()
                             .expect("serial plan without a serial domain");
-                        trace::enter_domain(std::mem::take(&mut state.trace));
-                        state.sim.run_window(Time::from_units(ts.units().saturating_add(1)));
-                        state.trace = trace::exit_domain();
+                        let end = Time::from_units(ts.units().saturating_add(1));
+                        state.run_window(end, live_trace, &mut serial_out);
                         let sd = serial_idx.expect("serial plan without a serial index") as u32;
-                        let lines: Vec<(u64, u32, trace::Staged)> = state
-                            .trace
-                            .drain_staged()
-                            .into_iter()
-                            .map(|(units, staged)| (units, sd, staged))
-                            .collect();
-                        let outbox = std::mem::take(
-                            &mut state
-                                .sim
-                                .route
-                                .as_mut()
-                                .expect("domain simulations always route")
-                                .outbox,
-                        );
-                        let stop = state.sim.take_stop();
+                        lines.extend(serial_out.lines.drain(..).map(|(t, rec)| (t, sd, rec)));
+                        stopped |= std::mem::take(&mut serial_out.stop);
                         route_outbox(
-                            outbox,
+                            &mut serial_out.outbox,
                             ts,
                             &domain_of,
                             serial_idx,
@@ -1134,13 +1180,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                             &mut staged,
                             &inboxes,
                         );
-                        flush_staged(&mut staged, &inboxes, &mut next);
-                        sink_epoch_trace(lines);
                         horizon = ts;
-                        if stop {
-                            stopped = true;
-                            break;
-                        }
                     }
                     EpochPlan::Window(e) => {
                         epoch_end.store(e.units(), Ordering::Relaxed);
@@ -1150,21 +1190,13 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                         if panic_slot.lock().is_some() {
                             break;
                         }
-                        let mut lines: Vec<(u64, u32, trace::Staged)> = Vec::new();
                         for &d in &worker_domains {
                             let mut out = results[d].lock();
-                            if out.stop {
-                                stopped = true;
-                                out.stop = false;
-                            }
+                            stopped |= std::mem::take(&mut out.stop);
                             next[d] = out.next;
-                            for (units, staged) in out.lines.drain(..) {
-                                lines.push((units, d as u32, staged));
-                            }
-                            let outbox = std::mem::take(&mut out.outbox);
-                            drop(out);
+                            lines.extend(out.lines.drain(..).map(|(t, rec)| (t, d as u32, rec)));
                             route_outbox(
-                                outbox,
+                                &mut out.outbox,
                                 e,
                                 &domain_of,
                                 serial_idx,
@@ -1173,14 +1205,17 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
                                 &inboxes,
                             );
                         }
-                        flush_staged(&mut staged, &inboxes, &mut next);
-                        sink_epoch_trace(lines);
                         horizon = e;
-                        if stopped {
-                            break;
-                        }
                     }
                 }
+                flush_staged(&mut staged, &inboxes, &mut next);
+                sink_epoch_trace(lines);
+                if stopped {
+                    break;
+                }
+            }));
+            if let Err(payload) = coordinated {
+                panic_slot.lock().get_or_insert(payload);
             }
 
             epoch_end.store(EXIT, Ordering::Relaxed);
@@ -1203,10 +1238,7 @@ impl<E: Send + 'static> PartitionedSimulation<E> {
         for (d, inbox) in inboxes.iter().enumerate() {
             inbox.take_into(&mut batch);
             for ev in batch.drain(..) {
-                self.domains[d]
-                    .sim
-                    .queue
-                    .push_with_seq(ev.time, ev.seq, ev.dst, ev.event);
+                self.domains[d].arrive(ev);
             }
         }
         self.horizon = horizon;
@@ -1504,6 +1536,29 @@ mod tests {
         part.post(pinger, Time::from_ns(2), Msg::Pong);
         part.run_until(Time::from_ns(40));
         assert_eq!(part.events_processed(), before + 1);
+    }
+
+    /// Ping-pong whose 1 ns links cross domains planned with a 10 ns
+    /// lookahead: the first pong lands inside the epoch that sent it.
+    fn undercut_lookahead(workers: usize) -> PartitionedSimulation<Msg> {
+        let (sim, _) = build(64);
+        let mut part = PartitionedSimulation::new(sim, vec![0, 1], None, Time::from_ns(10));
+        part.set_workers(Some(workers));
+        part
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead exceeds")]
+    fn inline_driver_rejects_an_arrival_inside_the_lookahead() {
+        undercut_lookahead(1).run_until(Time::from_ns(100));
+    }
+
+    /// The violation is caught on the coordinator while the workers are
+    /// parked at the barrier; it must release them and re-raise, not hang.
+    #[test]
+    #[should_panic(expected = "lookahead exceeds")]
+    fn threaded_driver_rejects_an_arrival_inside_the_lookahead() {
+        undercut_lookahead(2).run_until(Time::from_ns(100));
     }
 
     #[test]

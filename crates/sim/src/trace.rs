@@ -348,8 +348,11 @@ std::thread_local! {
 /// install the tracer first (the system model does).
 ///
 /// The handle is one pointer wide: the kernel parks and unparks it on
-/// every domain window, tracing on or off, so the snapshot lives behind a
-/// box and an inert buffer is just `None`.
+/// every domain window while tracing is live, so the snapshot lives behind
+/// a box and an inert buffer is just `None`. When every domain's buffer is
+/// inert ([`is_inert`](DomainBuffer::is_inert)) the kernel parks one inert
+/// buffer for a whole run call instead: inert buffers all drop emits
+/// alike, so which one is parked makes no difference.
 #[derive(Default)]
 pub struct DomainBuffer {
     /// The snapshot, or `None` when no tracer was installed at snapshot
@@ -398,6 +401,13 @@ impl DomainBuffer {
                 })
             }),
         }
+    }
+
+    /// True when no tracer was installed at snapshot time: every emit is
+    /// dropped and nothing is ever staged.
+    #[inline]
+    pub fn is_inert(&self) -> bool {
+        self.inner.is_none()
     }
 
     /// Takes the staged `(time-units, record)` pairs, in emission order.
@@ -987,7 +997,9 @@ mod tests {
             ..TraceConfig::default()
         })
         .unwrap();
-        enter_domain(DomainBuffer::snapshot());
+        let live = DomainBuffer::snapshot();
+        assert!(!live.is_inert());
+        enter_domain(live);
         emit(TraceCat::Llc, Time::from_ns(7), 4, "hit", &[]);
         emit(TraceCat::Dram, Time::from_ns(7), 4, "issue", &[]); // category off
         assert_eq!(lines_emitted(), 0, "buffered lines must not hit the ring yet");
@@ -1079,7 +1091,7 @@ mod tests {
             std::mem::size_of::<usize>()
         );
         let mut inert = DomainBuffer::default();
-        assert!(inert.inner.is_none());
+        assert!(inert.is_inert());
         inert.emit(TraceCat::Llc, Time::ZERO, 0, "hit", &[]);
         assert!(inert.drain_staged().is_empty());
     }

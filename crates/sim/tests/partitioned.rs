@@ -14,8 +14,11 @@
 //!   sequential kernel sorts by global post order. The oracle
 //!   comparisons therefore canonicalize within each timestamp.
 
+use std::sync::Mutex;
+
 use pard_sim::check::cases;
 use pard_sim::rng::Rng;
+use pard_sim::trace::{self, TraceCat, TraceConfig, TraceVal};
 use pard_sim::{Component, ComponentId, Ctx, PartitionedSimulation, Simulation, Time};
 
 /// Lookahead used throughout: every cross-domain send in these tests
@@ -39,19 +42,49 @@ impl Component<u64> for Node {
     }
     fn handle(&mut self, ev: u64, ctx: &mut Ctx<'_, u64>) {
         self.log.push((ctx.now().units(), ev));
-        if ev == 0 {
-            return;
+        forward(ev, self.fanout, ctx);
+    }
+    pard_sim::impl_as_any!();
+}
+
+/// Forwards a decremented payload to a peer chosen by the payload. Hop
+/// distance and delay derive from the payload; the delay is always a whole
+/// number of lookaheads, so the send is legal for any
+/// component-to-domain assignment.
+fn forward(ev: u64, fanout: u32, ctx: &mut Ctx<'_, u64>) {
+    if ev == 0 {
+        return;
+    }
+    let dst = (ctx.self_id().raw() as u64 + ev) % fanout as u64;
+    let hops = 1 + ev % 3;
+    ctx.send(
+        ComponentId::from_raw(dst as u32),
+        Time::from_units(LA * hops),
+        ev - 1,
+    );
+}
+
+/// A [`Node`] that records each delivery as a kernel trace line instead
+/// of in a log of its own.
+struct TracingNode {
+    fanout: u32,
+}
+
+impl Component<u64> for TracingNode {
+    fn name(&self) -> &str {
+        "tracing-node"
+    }
+    fn handle(&mut self, ev: u64, ctx: &mut Ctx<'_, u64>) {
+        if trace::enabled(TraceCat::Kernel) {
+            trace::emit(
+                TraceCat::Kernel,
+                ctx.now(),
+                ctx.self_id().raw() as u16,
+                "deliver",
+                &[("payload", TraceVal::U(ev))],
+            );
         }
-        // Hop distance and delay derive from the payload; the delay is
-        // always a whole number of lookaheads, so the send is legal for
-        // any component-to-domain assignment.
-        let dst = (ctx.self_id().raw() as u64 + ev) % self.fanout as u64;
-        let hops = 1 + ev % 3;
-        ctx.send(
-            ComponentId::from_raw(dst as u32),
-            Time::from_units(LA * hops),
-            ev - 1,
-        );
+        forward(ev, self.fanout, ctx);
     }
     pard_sim::impl_as_any!();
 }
@@ -269,5 +302,78 @@ fn threaded_driver_keeps_cross_domain_sends_across_short_run_for_calls() {
             .filter(|&(t, _)| t <= until.units())
             .collect();
         assert_eq!(upto, long_logs[c], "component {c}");
+    }
+}
+
+/// Serializes the tests that install the process-global tracer.
+static TRACER: Mutex<()> = Mutex::new(());
+
+fn install_ring_tracer() {
+    trace::install(TraceConfig {
+        filter: vec![(TraceCat::Kernel, None)],
+        sample: vec![(TraceCat::Kernel, 1)],
+        ring_capacity: 1 << 16,
+        ..TraceConfig::default()
+    })
+    .unwrap();
+}
+
+/// Runs tracing nodes partitioned into a serial domain and two worker
+/// domains with the worker count pinned, installing the tracer before or
+/// after partitioning. Returns the ring's lines, the tracer's emitted
+/// count and the events delivered.
+fn traced_run(workers: usize, tracer_before_partition: bool) -> (Vec<String>, u64, u64) {
+    let n = 6u32;
+    trace::disable();
+    if tracer_before_partition {
+        install_ring_tracer();
+    }
+    let mut sim: Simulation<u64> = Simulation::new();
+    for _ in 0..n {
+        sim.add_component(Box::new(TracingNode { fanout: n }));
+    }
+    for c in 0..n {
+        let at = Time::from_units(LA * (1 + c as u64 % 2));
+        sim.post(ComponentId::from_raw(c), at, 30 + c as u64);
+    }
+    let domain_of: Vec<u32> = (0..n).map(|c| c % 3).collect();
+    let mut part = PartitionedSimulation::new(sim, domain_of, Some(0), Time::from_units(LA));
+    if !tracer_before_partition {
+        install_ring_tracer();
+    }
+    part.set_workers(Some(workers));
+    part.run_until(Time::from_units(200 * LA));
+    let out = (trace::recent_lines(), trace::lines_emitted(), part.events_processed());
+    trace::disable();
+    out
+}
+
+/// A tracer installed before partitioning snapshots into every domain
+/// buffer; the inline and threaded drivers must then leave the identical
+/// ring, one line per delivery, merged in `(time, domain)` order.
+#[test]
+fn inline_and_threaded_drivers_leave_identical_trace_lines() {
+    let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
+    let (inline_lines, inline_emitted, inline_events) = traced_run(1, true);
+    let (threaded_lines, threaded_emitted, threaded_events) = traced_run(2, true);
+    assert!(inline_events > 100, "the schedule must cross many epochs");
+    assert_eq!(inline_events, threaded_events);
+    assert_eq!(inline_lines.len() as u64, inline_events, "one line per delivery");
+    assert_eq!(inline_emitted, inline_events);
+    assert_eq!(threaded_emitted, threaded_events);
+    assert_eq!(inline_lines, threaded_lines, "drivers must trace identically");
+}
+
+/// A tracer installed after partitioning finds every domain buffer inert:
+/// neither driver records a domain line, even though the category is
+/// enabled while the components emit.
+#[test]
+fn tracer_installed_after_partitioning_records_no_domain_lines() {
+    let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
+    for workers in [1, 2] {
+        let (lines, emitted, events) = traced_run(workers, false);
+        assert!(events > 100, "the schedule must cross many epochs");
+        assert!(lines.is_empty(), "workers={workers}: {} lines recorded", lines.len());
+        assert_eq!(emitted, 0, "workers={workers}");
     }
 }
