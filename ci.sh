@@ -59,20 +59,20 @@ if ! grep -q '"trace_store"' BENCH_kernel.json; then
 fi
 echo "ok: BENCH_kernel.json written (perf gate passed)"
 
-echo "== perfbench: unit tests and io_qos/fleet/pdes_threads smoke runs =="
+echo "== perfbench: unit tests and io_qos/fleet smoke runs =="
 # The repository benchmark (perfbench/, its own workspace) builds against
 # the crates' public API only; run its tests and short workloads so API
 # drift that breaks the benchmark fails here rather than at measurement
 # time. Each smoke run must pass its own correctness gate (exit 0): the
 # digest check across repetitions and the strict-audit run. fleet steps
-# every machine on the partitioned kernel's inline driver, pdes_threads
-# runs the threaded driver, so both drivers are gated here.
+# its machines on par_map workers, so its strict-audit run gates the
+# per-machine conservation ledgers.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-for workload in io_qos fleet pdes_threads; do
+for workload in io_qos fleet; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 >/dev/null
 done
-echo "ok: perfbench tests pass and io_qos, fleet and pdes_threads run correct"
+echo "ok: perfbench tests pass and io_qos and fleet run correct"
 
 echo "== trace+audit smoke: strict-audited fig07 emits clean JSONL =="
 # Run in a scratch cwd so the figure's JSON dump cannot clobber the
@@ -132,12 +132,11 @@ scratch="$(mktemp -d)"
 rm -rf "$scratch"
 echo "ok: fig_fault.json reproduced byte-identically under strict audit"
 
-echo "== fig09/fig10 goldens: partitioned-kernel runs match committed JSON at PARD_THREADS=4 =="
-# Both figures run on the domain-partitioned conservative-PDES kernel.
+echo "== fig09/fig10 goldens: single-machine timelines match committed JSON at PARD_THREADS=4 =="
+# Both figures are one simulation each, with mid-run operator actions.
 # The committed goldens were generated at PARD_THREADS=1; regenerating
-# them at PARD_THREADS=4 under strict audit proves the partitioned
-# timeline is byte-identical at any worker count and conserves every
-# packet while doing it.
+# them at PARD_THREADS=4 under strict audit proves the timeline does not
+# depend on the worker count and conserves every packet while doing it.
 scratch="$(mktemp -d)"
 (
     cd "$scratch"

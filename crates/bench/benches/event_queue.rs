@@ -25,10 +25,7 @@ use pard_dram::{MemCtrl, MemCtrlConfig};
 use pard_icn::{DsId, LAddr, MemKind, MemPacket, PacketId, PardEvent};
 use pard_sim::rng::{stream_rng, Rng};
 use pard_sim::trace::{self, TraceCat, TraceConfig, TraceVal};
-use pard_sim::{
-    Component, ComponentId, Ctx, EventQueue, PartitionedSimulation, ScheduledEvent, Simulation,
-    Time,
-};
+use pard_sim::{ComponentId, EventQueue, ScheduledEvent, Simulation, Time};
 
 /// The pre-ladder queue: one binary heap over the whole pending set,
 /// using `ScheduledEvent`'s reversed `Ord`. Kept here as the measured
@@ -178,150 +175,6 @@ fn kernel_events_per_sec(requests: u64) -> f64 {
     events as f64 / best_secs
 }
 
-/// One measured variant of the partitioned-kernel bench.
-struct PartitionedResult {
-    name: &'static str,
-    events_per_sec: f64,
-}
-
-/// Throughput of the conservative-PDES kernel against the sequential
-/// kernel on one timeline: four memory controllers, each fed
-/// `requests_per_ctrl` upfront-posted reads at its own cadence
-/// (10/40/160/640 ns — channels with divergent inter-arrival scales, so
-/// each domain's ladder queue adapts its bucket width to its own stream
-/// instead of one shift fitting all four). The same workload is run to
-/// completion sequentially and partitioned into 1, 2, and 4 domains.
-///
-/// All traffic is channel-local (`reply_to` is the controller itself),
-/// so the 100 µs lookahead only bounds the epoch width. On a single-core
-/// host the driver clamps to the inline epoch loop and the measured gain
-/// is the queue-sharding/cache-locality component alone; with real cores
-/// the domains run on threads.
-fn partitioned_kernel_events_per_sec(requests_per_ctrl: u64) -> Vec<PartitionedResult> {
-    const CTRLS: u32 = 4;
-    let build = || {
-        let mut sim: Simulation<PardEvent> = Simulation::new();
-        for d in 0..CTRLS {
-            let (ctrl_model, _cp) = MemCtrl::new(MemCtrlConfig::default());
-            let ctrl = sim.add_component(Box::new(ctrl_model));
-            let step = 10u64 << (2 * d);
-            for i in 0..requests_per_ctrl {
-                sim.post(
-                    ctrl,
-                    Time::from_ns(i * step),
-                    PardEvent::MemReq(MemPacket {
-                        id: PacketId(i),
-                        ds: DsId::new((d % 2 + 1) as u16),
-                        addr: LAddr::new((i * 4096) % (1 << 28)),
-                        kind: MemKind::Read,
-                        size: 64,
-                        reply_to: ctrl,
-                        issued_at: Time::ZERO,
-                        dma: false,
-                    }),
-                );
-            }
-        }
-        sim
-    };
-    // Far enough past the sparsest cadence's last request that every
-    // variant drains the identical event population.
-    let horizon = Time::from_ms(40);
-
-    let mut results = Vec::new();
-    let mut baseline_events = None;
-    for (name, domains) in [
-        ("sequential", 0u32),
-        ("partitioned_1dom", 1),
-        ("partitioned_2dom", 2),
-        ("partitioned_4dom", 4),
-    ] {
-        let mut best_secs = f64::INFINITY;
-        let mut events = 0u64;
-        for _ in 0..ROUNDS {
-            let mut sim = build();
-            let secs = if domains == 0 {
-                let start = Instant::now();
-                sim.run_until(horizon);
-                events = sim.events_processed();
-                start.elapsed().as_secs_f64()
-            } else {
-                let map: Vec<u32> = (0..CTRLS).map(|c| c % domains).collect();
-                let mut part =
-                    PartitionedSimulation::new(sim, map, None, Time::from_us(100));
-                let start = Instant::now();
-                part.run_until(horizon);
-                events = part.events_processed();
-                start.elapsed().as_secs_f64()
-            };
-            best_secs = best_secs.min(secs);
-        }
-        // Every partitioning of one timeline must deliver the same
-        // events; a mismatch means the kernels diverged.
-        match baseline_events {
-            None => baseline_events = Some(events),
-            Some(base) => assert_eq!(events, base, "{name} delivered a different event count"),
-        }
-        results.push(PartitionedResult {
-            name,
-            events_per_sec: events as f64 / best_secs,
-        });
-    }
-    results
-}
-
-/// One side of the tight-lookahead ping-pong: forwards every token to its
-/// peer one link latency later until the token's hop budget runs out.
-struct Bouncer {
-    peer: ComponentId,
-}
-
-impl Component<u64> for Bouncer {
-    fn name(&self) -> &str {
-        "bouncer"
-    }
-    fn handle(&mut self, hops_left: u64, ctx: &mut Ctx<'_, u64>) {
-        if hops_left > 0 {
-            ctx.send(self.peer, TIGHT_LOOKAHEAD, hops_left - 1);
-        }
-    }
-    pard_sim::impl_as_any!();
-}
-
-/// The CPU↔memory link latency that sets a PARD machine's lookahead.
-const TIGHT_LOOKAHEAD: Time = Time::from_ns(2);
-
-/// Events per wall-second of the partitioned kernel's inline driver in
-/// the fleet machines' regime: two domains, each holding one component,
-/// ping-pong two tokens across a 2 ns link planned with a 2 ns lookahead.
-/// Both tokens start at t = 0, so every epoch delivers exactly one event
-/// in each domain (2 events per epoch) and the driver's fixed cost per
-/// epoch is a large share of the rate — a cost the channel-local 100 µs
-/// rows of [`partitioned_kernel_events_per_sec`] never exercise. Pinned
-/// to the inline driver, the one the fleet runs machines on.
-fn tight_lookahead_events_per_sec(hops: u64) -> f64 {
-    let mut best_secs = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..ROUNDS {
-        let mut sim: Simulation<u64> = Simulation::new();
-        let a = sim.add_component(Box::new(Bouncer {
-            peer: ComponentId::UNWIRED,
-        }));
-        let b = sim.add_component(Box::new(Bouncer { peer: a }));
-        sim.with_component::<Bouncer, _, _>(a, |x| x.peer = b);
-        sim.post(a, Time::ZERO, hops);
-        sim.post(b, Time::ZERO, hops);
-        let mut part = PartitionedSimulation::new(sim, vec![0, 1], None, TIGHT_LOOKAHEAD);
-        part.set_workers(Some(1));
-        let start = Instant::now();
-        part.run_until(Time::from_ns(2 * hops + 2));
-        best_secs = best_secs.min(start.elapsed().as_secs_f64());
-        events = part.events_processed();
-    }
-    assert_eq!(events, 2 * (hops + 1), "every hop of both tokens is delivered");
-    events as f64 / best_secs
-}
-
 /// Throughput of the lock-free statistics record path (`StatsHandle::add`
 /// straight into the sharded cells), in million records per second —
 /// the per-access cost every component model now pays per hit/miss/DMA.
@@ -446,11 +299,6 @@ fn main() {
 
     let memctrl_requests: u64 = if quick { 10_000 } else { 50_000 };
     let kernel_eps = kernel_events_per_sec(memctrl_requests);
-    let part_requests: u64 = if quick { 6_000 } else { 25_000 };
-    let partitioned = partitioned_kernel_events_per_sec(part_requests);
-    let tight_hops: u64 = if quick { 100_000 } else { 1_000_000 };
-    let tight_eps = tight_lookahead_events_per_sec(tight_hops);
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let fig11_requests: u64 = if quick { 4_000 } else { 50_000 };
     let (fig11_ms, fig11_eps) = time_fig11(fig11_requests);
     let fig08_ms = time_fig08_point();
@@ -464,45 +312,6 @@ fn main() {
         fig11_eps / 1e6
     );
     println!("fig08 quick point: {fig08_ms:.1} ms");
-
-    let seq_eps = partitioned[0].events_per_sec;
-    println!(
-        "\npartitioned kernel, 4-channel diverse-cadence pattern \
-         ({part_requests} reqs/ctrl, host parallelism {host_parallelism}):"
-    );
-    let mut json_part = JsonValue::object()
-        .field("requests_per_ctrl", part_requests)
-        .field("host_parallelism", host_parallelism as u64);
-    for p in &partitioned {
-        let ratio = p.events_per_sec / seq_eps;
-        println!(
-            "  {:<18} {:>6.2} M events/s   ({ratio:.2}x vs sequential)",
-            p.name,
-            p.events_per_sec / 1e6
-        );
-        json_part = json_part.field(
-            &format!("{}_events_per_sec", p.name),
-            p.events_per_sec,
-        );
-    }
-    let speedup_4dom = partitioned
-        .iter()
-        .find(|p| p.name == "partitioned_4dom")
-        .map_or(0.0, |p| p.events_per_sec / seq_eps);
-    json_part = json_part
-        .field("speedup_4dom_vs_sequential", speedup_4dom)
-        .field("tight_lookahead_2dom_events_per_sec", tight_eps);
-    println!(
-        "  {:<18} {:>6.2} M events/s   (2 ns lookahead, 2 events/epoch, inline driver)",
-        "tight_lookahead_2dom",
-        tight_eps / 1e6
-    );
-    if host_parallelism == 1 {
-        println!(
-            "  (single-core host: inline epoch driver, gain is queue \
-             sharding/locality only)"
-        );
-    }
 
     // Cargo runs benches with the package dir as CWD; anchor the perf
     // record at the workspace root regardless of how we were invoked.
@@ -522,7 +331,6 @@ fn main() {
                     .field("ptr_bytes_per_event", ptr_bpe),
             )
             .field("kernel_memctrl_events_per_sec", kernel_eps)
-            .field("partitioned_kernel", json_part)
             .field(
                 "figure_workloads",
                 JsonValue::object()
@@ -568,14 +376,6 @@ fn main() {
             eprintln!(
                 "CHECK FAILED: binary store {ptr_bpe:.1} bytes/event >= \
                  JSONL {jsonl_bpe:.1} bytes/event"
-            );
-            failed = true;
-        }
-        // Partitioning one timeline into 4 domains must never cost
-        // throughput relative to the sequential kernel.
-        if speedup_4dom < 1.0 {
-            eprintln!(
-                "CHECK FAILED: partitioned_4dom/sequential = {speedup_4dom:.2}x < 1.0"
             );
             failed = true;
         }
@@ -625,8 +425,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "check passed: dense-regime speedups (hold16/256/4096) >= 1.0, stats bench recorded, \
-             4-domain partitioned kernel >= sequential"
+            "check passed: dense-regime speedups (hold16/256/4096) >= 1.0, stats bench recorded"
         );
     }
 }

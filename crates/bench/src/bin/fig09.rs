@@ -6,7 +6,7 @@
 //! installed trigger fires, the firmware grows memcached's partition to
 //! half the LLC, and the miss rate falls back to ~10 %.
 //!
-//! The timeline runs on the partitioned kernel (see
+//! One simulation on the sequential kernel (see
 //! [`pard_bench::fig09_scenario`]); the emitted `fig09.json` is
 //! byte-identical at every `PARD_THREADS` setting.
 

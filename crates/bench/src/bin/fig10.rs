@@ -5,7 +5,7 @@
 //! runs `echo 80 > /sys/cpa/cpa3/ldoms/ldom0/parameters/bandwidth`, and
 //! LDom0's share rises to 80 %.
 //!
-//! The timeline runs on the partitioned kernel (see
+//! One simulation on the sequential kernel (see
 //! [`pard_bench::fig10_scenario`]); the emitted `fig10.json` is
 //! byte-identical at every `PARD_THREADS` setting.
 

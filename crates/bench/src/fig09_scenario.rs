@@ -8,12 +8,9 @@
 //!
 //! Unlike the sweep figures this is a single simulation with mid-run
 //! operator actions (each sample depends on the last), so there is
-//! nothing to fan out across the worker pool. Instead the run goes onto
-//! the **partitioned kernel** ([`PardServer::partition`]): parallelism
-//! inside the one timeline, with the schedule — and thus `fig09.json` —
-//! byte-identical at every `PARD_THREADS` setting.
-//!
-//! [`PardServer::partition`]: pard::PardServer::partition
+//! nothing to fan out across the worker pool: it runs on the sequential
+//! kernel on one thread, and `fig09.json` is byte-identical at every
+//! `PARD_THREADS` setting.
 
 use pard::{DsId, PardServer, Time};
 
@@ -43,14 +40,13 @@ pub fn run_span(total: Time) -> Fig09Run {
     run_span_with(total, |_| {})
 }
 
-/// As [`run_span`], with a setup hook called on the partitioned server
-/// before the timeline starts (the policy equivalence suite installs the
+/// As [`run_span`], with a setup hook called on the server before the
+/// timeline starts (the policy equivalence suite installs the
 /// built-in programs explicitly through it).
 pub fn run_span_with(total: Time, setup: impl FnOnce(&mut PardServer)) -> Fig09Run {
     let sample = Time::from_ms(2);
 
     let (mut server, mc) = install_llc_trigger_scenario(20_000.0);
-    server.partition();
     setup(&mut server);
     // Launch memcached alone first; STREAM joins at a third of the run.
     // The trigger rule is installed once memcached has warmed, as the

@@ -7,12 +7,8 @@
 //!
 //! A single simulation with a mid-run operator `echo` (each sample
 //! depends on the last), so there is nothing to fan out across the
-//! worker pool. Instead the run goes onto the **partitioned kernel**
-//! ([`PardServer::partition`]): parallelism inside the one timeline, with
-//! the schedule — and thus `fig10.json` — byte-identical at every
-//! `PARD_THREADS` setting.
-//!
-//! [`PardServer::partition`]: pard::PardServer::partition
+//! worker pool: it runs on the sequential kernel on one thread, and
+//! `fig10.json` is byte-identical at every `PARD_THREADS` setting.
 
 use pard::{DsId, LDomSpec, PardServer, SystemConfig, Time};
 use pard_workloads::{DiskCopy, DiskCopyConfig};
@@ -43,8 +39,8 @@ pub fn run_span(block: u64, total: Time, echo_at: Time) -> Fig10Run {
     run_span_with(block, total, echo_at, |_| {})
 }
 
-/// As [`run_span`], with a setup hook called on the partitioned server
-/// before the timeline starts. The policy equivalence suite uses it to
+/// As [`run_span`], with a setup hook called on the server before the
+/// timeline starts. The policy equivalence suite uses it to
 /// install the built-in programs explicitly and prove the figure bytes
 /// do not move.
 pub fn run_span_with(
@@ -71,7 +67,6 @@ pub fn run_span_with(
         );
         server.launch(DsId::new(i as u16)).expect("launch");
     }
-    server.partition();
     setup(&mut server);
 
     let mut shares: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 2];

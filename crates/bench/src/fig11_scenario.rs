@@ -142,10 +142,6 @@ pub fn run_with(
     requests: u64,
     setup: impl FnOnce(&mut pard_cp::ControlPlane),
 ) -> RunResult {
-    // Each run is an independent machine on a reused worker thread, and
-    // its packet ids restart at 0 — open a fresh audit conservation scope
-    // so back-to-back runs cannot alias each other's in-flight packets.
-    pard_sim::audit::begin_run();
     let mut sim: Simulation<PardEvent> = Simulation::new();
     let (ctrl_model, cp) = MemCtrl::new(MemCtrlConfig {
         priorities_enabled: priorities,

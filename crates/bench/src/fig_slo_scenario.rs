@@ -20,8 +20,8 @@
 //! green), the memory system behind the bridge sees only contracted
 //! traffic, and the victim's admitted bandwidth is untouched.
 //!
-//! The timeline runs on the partitioned kernel, so `fig_slo.json` is
-//! byte-identical at every `PARD_THREADS` setting.
+//! The timeline is one simulation on the sequential kernel, so
+//! `fig_slo.json` is byte-identical at every `PARD_THREADS` setting.
 
 use pard::{DsId, LDomSpec, PardServer, SystemConfig, Time};
 use pard_workloads::{DiskCopy, DiskCopyConfig};
@@ -80,7 +80,6 @@ pub fn run_span(block: u64, total: Time, policy_at: Time) -> FigSloRun {
         );
         server.launch(DsId::new(i as u16)).expect("launch");
     }
-    server.partition();
 
     let mut admitted: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 2];
     let mut last_bytes = [0u64; 2];

@@ -114,9 +114,6 @@ pub fn run_pair(inject_rate: f64, requests: u64) -> (Vec<f64>, Vec<f64>) {
 /// percent. `weighted` programs the 1 / 2 / 4 weights; otherwise every
 /// weight stays at its default of 1.
 pub fn run(inject_rate: f64, weighted: bool, requests: u64) -> Vec<f64> {
-    // Independent machine on a reused worker thread; fresh conservation
-    // scope so packet ids cannot alias a sibling run's.
-    pard_sim::audit::begin_run();
     let mut sim: Simulation<PardEvent> = Simulation::new();
     let (ctrl_model, cp) = MemCtrl::new(MemCtrlConfig {
         priorities_enabled: true,

@@ -1,16 +1,11 @@
 //! `PARD_THREADS` byte-identity matrix over the figure scenarios, with
 //! tracing and strict auditing live for the whole run.
 //!
-//! fig09 and fig10 run on the partitioned kernel, fig11 and the fault
-//! figure on the sequential kernel under the `par_map` harness; all four
-//! must render the same bytes at every thread setting. One test owns the
-//! whole matrix because `PARD_THREADS` is process-global state.
-//!
-//! On a single-core host the partitioned driver clamps to the inline
-//! epoch loop at any `PARD_THREADS`; the threaded driver's own identity
-//! is pinned at kernel scale in `crates/sim/tests/partitioned.rs` (via
-//! `set_workers`), where epoch counts are small enough for barrier spins
-//! on one core.
+//! fig09 and fig10 are single simulations on one thread, fig11 and the
+//! fault figure run their independent simulations under the `par_map`
+//! harness; all four must render the same bytes at every thread setting.
+//! One test owns the whole matrix because `PARD_THREADS` is
+//! process-global state.
 
 use pard_bench::fig11_scenario;
 use pard_bench::fig_fault_scenario::{self, Timeline};
@@ -20,8 +15,8 @@ use pard_sim::{audit, trace};
 #[test]
 fn figure_outputs_are_byte_identical_across_thread_counts() {
     // All categories into the in-memory ring (default sampling), and
-    // panic on the first conservation violation: a partitioned run that
-    // loses or duplicates a packet must fail here, not drift a figure.
+    // panic on the first conservation violation: a run that loses or
+    // duplicates a packet must fail here, not drift a figure.
     trace::install(trace::TraceConfig::default()).unwrap();
     audit::install(audit::AuditConfig::strict()).unwrap();
 

@@ -10,10 +10,9 @@
 //!
 //! Determinism fine print, which picks the comparison per scenario:
 //!
-//! * fig09 runs on the partitioned kernel — per-domain trace buffers with
-//!   their own sampling counters, merged `(time, domain)` at every epoch
-//!   barrier — so its trace is byte-deterministic at *any* worker count,
-//!   with any sampling divisors.
+//! * fig09 is one simulation on one thread, so its trace is
+//!   byte-deterministic at *any* `PARD_THREADS`, with any sampling
+//!   divisors.
 //! * fig11 runs its baseline/PARD pair under the `par_map` harness. At
 //!   one thread everything is sequential and the default-sampled trace
 //!   is deterministic. At four threads the workers race for the global
@@ -67,7 +66,7 @@ fn capture_fig11(
     decoded_lines(path)
 }
 
-/// Installs a tracer to `path` and runs the fig09 partitioned timeline.
+/// Installs a tracer to `path` and runs the fig09 timeline.
 fn capture_fig09(path: &PathBuf) -> Vec<String> {
     trace::install(TraceConfig {
         path: Some(path.clone()),
@@ -115,8 +114,9 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
         "fig11 @ 4 threads: binary decode must carry the same event multiset"
     );
 
-    // fig09 (partitioned kernel): byte-deterministic at any worker count,
-    // so both formats and both thread settings must agree exactly.
+    // fig09 (one simulation, one thread): byte-deterministic at any
+    // worker count, so both formats and both thread settings must agree
+    // exactly.
     std::env::set_var("PARD_THREADS", "1");
     let jsonl_t1 = capture_fig09(&dir.join("fig09-t1.jsonl"));
     let ptr_t1_path = dir.join("fig09-t1.ptr");
@@ -130,7 +130,7 @@ fn binary_store_round_trips_figure_traces_and_seeks() {
     assert_eq!(jsonl_t4, binary_t4, "fig09 @ 4 threads: formats must agree");
     assert_eq!(
         jsonl_t1, jsonl_t4,
-        "fig09: the epoch merge keeps the trace thread-count-invariant"
+        "fig09: the trace must not depend on PARD_THREADS"
     );
 
     // The store really paged the trace (replay memory is bounded by one

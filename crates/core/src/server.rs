@@ -3,79 +3,15 @@
 use pard_cache::Llc;
 use pard_cp::CpHandle;
 use pard_dram::{MemCtrl, QueueingStats};
-use pard_icn::{Crossbar, DomainPlan, DsId, PardEvent, TickKind};
+use pard_icn::{Crossbar, DsId, PardEvent, TickKind};
 use pard_io::{Apic, ApicRoutes, IdeCtrl, IoBridge, Nic};
 use pard_prm::{Firmware, FirmwareConfig, FwError, FwHandle, LDomSpec, MetricsSnapshot, Prm};
 use pard_sim::trace::{self, TraceCat, TraceVal};
-use pard_sim::{audit, ComponentId, PartitionedSimulation, Simulation, Time};
+use pard_sim::{audit, ComponentId, Simulation, Time};
 use pard_workloads::WorkloadEngine;
 
 use crate::config::SystemConfig;
 use crate::core_model::{Core, CoreStats};
-
-/// Domain of the PRM — the barrier-serialized control domain (its trigger
-/// predicates read statistics owned by the other domains).
-const CTL_DOMAIN: u32 = 0;
-/// Domain of the cores, crossbar, APIC, I/O bridge, IDE, and NIC.
-const CPU_DOMAIN: u32 = 1;
-/// Domain of the LLC and the memory controller (same-cycle coupled by
-/// zero-latency writeback pushes, so they must share a domain).
-const MEM_DOMAIN: u32 = 2;
-
-/// Which kernel drives the machine: every `PardServer` starts sequential;
-/// [`PardServer::partition`] moves it onto the conservative parallel
-/// kernel. Both deliver the identical `(time, seq)` schedule.
-enum Backend {
-    Seq(Simulation<PardEvent>),
-    Part(PartitionedSimulation<PardEvent>),
-}
-
-impl Backend {
-    fn run_until(&mut self, deadline: Time) {
-        match self {
-            Backend::Seq(s) => s.run_until(deadline),
-            Backend::Part(p) => p.run_until(deadline),
-        }
-    }
-
-    fn run_for(&mut self, span: Time) {
-        match self {
-            Backend::Seq(s) => s.run_for(span),
-            Backend::Part(p) => p.run_for(span),
-        }
-    }
-
-    fn now(&self) -> Time {
-        match self {
-            Backend::Seq(s) => s.now(),
-            Backend::Part(p) => p.now(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Backend::Seq(s) => s.events_processed(),
-            Backend::Part(p) => p.events_processed(),
-        }
-    }
-
-    fn post(&mut self, dst: ComponentId, delay: Time, ev: PardEvent) {
-        match self {
-            Backend::Seq(s) => s.post(dst, delay, ev),
-            Backend::Part(p) => p.post(dst, delay, ev),
-        }
-    }
-
-    fn with_component<T: 'static, F, R>(&mut self, id: ComponentId, f: F) -> R
-    where
-        F: FnOnce(&mut T) -> R,
-    {
-        match self {
-            Backend::Seq(s) => s.with_component(id, f),
-            Backend::Part(p) => p.with_component(id, f),
-        }
-    }
-}
 
 /// A fully wired PARD server: cores + LLC + DRAM + I/O + PRM on the
 /// simulation kernel.
@@ -88,8 +24,7 @@ impl Backend {
 ///
 /// See the [crate-level example](crate) for usage.
 pub struct PardServer {
-    backend: Backend,
-    plan: DomainPlan,
+    sim: Simulation<PardEvent>,
     cores: Vec<ComponentId>,
     llc: ComponentId,
     mem: ComponentId,
@@ -114,11 +49,11 @@ impl PardServer {
         // Arm the tracer from `PARD_TRACE` / `PARD_TRACE_FILTER` and the
         // invariant auditor from `PARD_AUDIT` / `PARD_AUDIT_FILE` before
         // any component can emit (idempotent; no-ops when the env is
-        // unset). A fresh server is a fresh conservation scope: clear any
-        // ledger entries a previous machine on this thread left in flight.
+        // unset). The machine's conservation ledger lives in its
+        // simulation, so nothing a previous machine on this thread left in
+        // flight can alias its packets.
         trace::init_from_env();
         audit::init_from_env();
-        audit::begin_run();
         // Same fresh-run discipline for the fault layer: reset its
         // per-thread deterministic state (NIC loss RNG, IDE drop counter)
         // so a plan installed before construction replays identically.
@@ -213,34 +148,8 @@ impl PardServer {
         let prm = sim.add_component(Box::new(Prm::new(fw.clone(), cfg.prm_poll)));
         sim.post(prm, Time::ZERO, PardEvent::Tick(TickKind::Prm));
 
-        // The static partition plan (used only if `partition()` is called):
-        // control / compute+I/O / memory-system domains, with the lookahead
-        // derived from the shortest declared cross-domain link. The LLC and
-        // memory controller share a domain because writeback pushes between
-        // them are zero-latency.
-        let mut plan = DomainPlan::new();
-        plan.assign(prm, CTL_DOMAIN);
-        plan.set_serial(CTL_DOMAIN);
-        for &c in cores
-            .iter()
-            .chain([&crossbar, &apic, &bridge, &ide, &nic])
-        {
-            plan.assign(c, CPU_DOMAIN);
-        }
-        plan.assign(llc, MEM_DOMAIN);
-        plan.assign(mem, MEM_DOMAIN);
-        // Compute → memory: the crossbar's hop into the LLC, and the
-        // bridge's DMA hop into the memory controller.
-        plan.declare_link(CPU_DOMAIN, MEM_DOMAIN, cfg.core.link_to_llc);
-        plan.declare_link(CPU_DOMAIN, MEM_DOMAIN, cfg.bridge.hop_latency);
-        // Memory → compute: LLC fill and hit responses back to the cores
-        // (DMA completions from the controller are strictly slower).
-        plan.declare_link(MEM_DOMAIN, CPU_DOMAIN, cfg.llc.fill_latency);
-        plan.declare_link(MEM_DOMAIN, CPU_DOMAIN, cfg.llc.hit_latency);
-
         PardServer {
-            backend: Backend::Seq(sim),
-            plan,
+            sim,
             cores,
             llc,
             mem,
@@ -259,9 +168,7 @@ impl PardServer {
     }
 
     /// The kernel event-loop observer (audit delivery counting + kernel
-    /// trace category), built fresh per kernel — the partitioned backend
-    /// installs one per domain. Stateless, so per-domain copies observe
-    /// exactly what the single sequential hook would.
+    /// trace category).
     fn kernel_hook() -> Option<Box<dyn FnMut(Time, ComponentId, &PardEvent) + Send>> {
         let trace_kernel = trace::enabled(TraceCat::Kernel);
         if !trace_kernel && !audit::enabled() {
@@ -282,49 +189,34 @@ impl PardServer {
         }))
     }
 
-    /// Moves the machine onto the conservative parallel kernel
-    /// ([`PartitionedSimulation`]): control / compute / memory domains,
-    /// PRM serialized at barriers. Idempotent. The schedule — and thus
-    /// every figure, trace line, and statistic — is byte-identical to the
-    /// same machine partitioned at any other worker count (`PARD_THREADS`
-    /// selects the pool size).
+    /// Does nothing: every machine runs on the one sequential kernel.
     ///
-    /// After partitioning, [`sim_mut`](Self::sim_mut) is unavailable;
-    /// harnesses that reach into the raw kernel should stay sequential.
-    pub fn partition(&mut self) {
-        if matches!(self.backend, Backend::Part(_)) {
-            return;
-        }
-        let placeholder = Backend::Seq(Simulation::new());
-        let Backend::Seq(sim) = std::mem::replace(&mut self.backend, placeholder) else {
-            unreachable!("non-partitioned backend is sequential");
-        };
-        let (domain_of, serial, lookahead) = self.plan.clone().into_parts();
-        let mut part = PartitionedSimulation::new(sim, domain_of, serial, lookahead);
-        part.set_event_hooks(|_domain| Self::kernel_hook());
-        self.backend = Backend::Part(part);
-    }
+    /// Kept so callers written for the deleted partitioned kernel (the
+    /// `perfbench` workloads) still build; running a machine never
+    /// needed it. Parallelism comes from running whole machines on
+    /// `par_map` worker threads instead.
+    pub fn partition(&mut self) {}
 
     // -------------------------------------------------------------- time
 
     /// Runs the machine for `span` of simulated time.
     pub fn run_for(&mut self, span: Time) {
-        self.backend.run_for(span);
+        self.sim.run_for(span);
     }
 
     /// Runs until the absolute time `deadline`.
     pub fn run_until(&mut self, deadline: Time) {
-        self.backend.run_until(deadline);
+        self.sim.run_until(deadline);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.backend.now()
+        self.sim.now()
     }
 
     /// Events processed so far (simulation throughput metric).
     pub fn events_processed(&self) -> u64 {
-        self.backend.events_processed()
+        self.sim.events_processed()
     }
 
     // ------------------------------------------------------------- ldoms
@@ -357,7 +249,7 @@ impl PardServer {
     /// Fails for unknown DS-ids.
     pub fn destroy_ldom(&mut self, ds: DsId) -> Result<(), FwError> {
         self.fw.lock().destroy_ldom(ds)?;
-        self.backend
+        self.sim
             .with_component::<Llc, _, _>(self.llc, |l| l.flush_ds(ds));
         Ok(())
     }
@@ -369,7 +261,7 @@ impl PardServer {
     /// Panics if the core index is out of range.
     pub fn install_engine(&mut self, core_idx: usize, engine: Box<dyn WorkloadEngine>) {
         let id = self.cores[core_idx];
-        self.backend
+        self.sim
             .with_component::<Core, _, _>(id, |c| c.install_engine(engine));
     }
 
@@ -407,7 +299,7 @@ impl PardServer {
     /// Typed access to core `core_idx`.
     pub fn with_core<R>(&mut self, core_idx: usize, f: impl FnOnce(&mut Core) -> R) -> R {
         let id = self.cores[core_idx];
-        self.backend.with_component::<Core, _, _>(id, f)
+        self.sim.with_component::<Core, _, _>(id, f)
     }
 
     /// Typed access to core `core_idx`'s installed engine.
@@ -438,20 +330,20 @@ impl PardServer {
     /// Bytes of LLC currently occupied by `ds` (live tag-array count,
     /// the paper's footnote 6 statistic).
     pub fn llc_occupancy_bytes(&mut self, ds: DsId) -> u64 {
-        self.backend
+        self.sim
             .with_component::<Llc, _, _>(self.llc, |l| l.occupancy_bytes(ds))
     }
 
     /// Cumulative LLC `(hits, misses)` for `ds`.
     pub fn llc_counts(&mut self, ds: DsId) -> (u64, u64) {
-        self.backend
+        self.sim
             .with_component::<Llc, _, _>(self.llc, |l| l.counts(ds))
     }
 
     /// Memory-controller queueing statistics (Figure 11; requires
     /// `record_queueing` in the memory config).
     pub fn mem_queueing(&mut self) -> QueueingStats {
-        self.backend
+        self.sim
             .with_component::<MemCtrl, _, _>(self.mem, |m| m.queueing_stats())
     }
 
@@ -460,27 +352,27 @@ impl PardServer {
     /// boundaries yields per-phase percentiles — the measurement the
     /// fault-recovery experiment (`fig_fault`) is built on.
     pub fn take_mem_queueing(&mut self, ds: DsId) -> pard_sim::stats::LatencySample {
-        self.backend
+        self.sim
             .with_component::<MemCtrl, _, _>(self.mem, |m| m.take_ds_queueing(ds))
     }
 
     /// Mean memory queueing delay per priority class `(high, low)` in
     /// memory cycles.
     pub fn mem_queueing_means(&mut self) -> (f64, f64) {
-        self.backend
+        self.sim
             .with_component::<MemCtrl, _, _>(self.mem, |m| m.mean_queueing_cycles())
     }
 
     /// Total requests served by the memory controller across every DS-id
     /// (live cumulative counter, independent of the statistics windows).
     pub fn mem_served_total(&mut self) -> u64 {
-        self.backend
+        self.sim
             .with_component::<MemCtrl, _, _>(self.mem, |m| m.served_total())
     }
 
     /// Per-DS disk progress.
     pub fn disk_progress(&mut self, ds: DsId) -> pard_io::DiskProgress {
-        self.backend
+        self.sim
             .with_component::<IdeCtrl, _, _>(self.ide, |i| i.progress(ds))
     }
 
@@ -522,24 +414,13 @@ impl PardServer {
     /// Posts a raw event into the machine (test harnesses: network frames,
     /// manual interrupts).
     pub fn post(&mut self, dst: ComponentId, delay: Time, ev: PardEvent) {
-        self.backend.post(dst, delay, ev);
+        self.sim.post(dst, delay, ev);
     }
 
-    /// Mutable access to the underlying sequential simulation (advanced
-    /// harnesses that reach into the raw kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`partition`](Self::partition): harnesses that need raw
-    /// kernel access must stay on the sequential backend.
+    /// Mutable access to the underlying simulation (advanced harnesses
+    /// that reach into the raw kernel).
     pub fn sim_mut(&mut self) -> &mut Simulation<PardEvent> {
-        match &mut self.backend {
-            Backend::Seq(s) => s,
-            Backend::Part(_) => panic!(
-                "sim_mut is unavailable after partition(): keep harnesses \
-                 that reach into the raw kernel on the sequential backend"
-            ),
-        }
+        &mut self.sim
     }
 
     /// A machine-wide per-DS-id statistics snapshot (every control
@@ -560,7 +441,7 @@ impl Drop for PardServer {
             }
         }
         if audit::enabled() {
-            audit::emit_summary(self.backend.now());
+            audit::emit_summary(self.sim.now(), self.sim.ledger());
             audit::flush();
         }
         trace::flush();
@@ -666,9 +547,9 @@ mod tests {
         );
     }
 
-    /// Drives one machine to completion and returns the observables a
-    /// harness would record: final time, event count, core stats, LLC
-    /// occupancy/counts, and total memory requests served.
+    /// Drives one machine and returns the observables a harness would
+    /// record: final time, event count, core stats, LLC occupancy/counts,
+    /// and total memory requests served.
     fn drive(partition: bool) -> (Time, u64, CoreStats, u64, (u64, u64), u64) {
         let mut server = small();
         let ds = server
@@ -697,17 +578,16 @@ mod tests {
         )
     }
 
+    /// `partition()` is a no-op kept for existing callers: a machine that
+    /// calls it must run exactly like one that does not, and `sim_mut`
+    /// stays available afterwards.
     #[test]
     fn partitioned_server_matches_sequential() {
         let seq = drive(false);
         let part = drive(true);
         assert_eq!(seq, part);
         assert!(part.2.loads > 1000, "stream made progress: {part:?}");
-    }
 
-    #[test]
-    #[should_panic(expected = "sim_mut is unavailable")]
-    fn sim_mut_is_refused_after_partition() {
         let mut server = small();
         server.partition();
         let _ = server.sim_mut();

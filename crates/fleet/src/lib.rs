@@ -2,8 +2,8 @@
 //! under one federated resource manager.
 //!
 //! Each [`FleetMachine`] is a full [`pard::PardServer`] — cores, tagged
-//! LLC, DRAM scheduler, I/O bridge, and PRM firmware, running on the
-//! domain-partitioned conservative-PDES kernel. The fleet layer adds what
+//! LLC, DRAM scheduler, I/O bridge, and PRM firmware, on the sequential
+//! simulation kernel. The fleet layer adds what
 //! a single machine cannot express:
 //!
 //! * a **multi-tenant request population** ([`population`]) with Zipf

@@ -90,8 +90,9 @@ pub struct MachineEpoch {
 }
 
 /// One PARD server of the fleet: a full machine simulation (cores, LLC,
-/// DRAM, I/O, PRM — on the domain-partitioned kernel) plus the fleet-side
-/// bookkeeping of which tenant replicas it hosts.
+/// DRAM, I/O, PRM) plus the fleet-side bookkeeping of which tenant
+/// replicas it hosts. The machine owns its simulation, conservation ledger
+/// included, so `par_map` may step it on any worker thread.
 pub struct FleetMachine {
     idx: usize,
     server: PardServer,
@@ -136,10 +137,6 @@ impl FleetMachine {
     /// server whose host LDom owns all cores, each running a [`TimeShared`]
     /// scheduler seeded with the keep-alive host process, and whose
     /// firmware has the fleet escalation action registered.
-    ///
-    /// Construct **all** machines before partitioning **any** of them:
-    /// [`PardServer::new`] begins a fresh audit run, which clears the
-    /// shared conservation ledger that partitioned machines write into.
     pub fn new(idx: usize, cfg: &FleetConfig) -> Self {
         let mut sys = SystemConfig::small_test();
         sys.seed = cfg.seed.wrapping_add(idx as u64);
@@ -201,10 +198,9 @@ impl FleetMachine {
             .sum()
     }
 
-    /// Moves the machine onto the conservative parallel kernel.
-    pub fn partition(&mut self) {
-        self.server.partition();
-    }
+    /// Does nothing (see [`PardServer::partition`]); kept for callers
+    /// written for the deleted partitioned kernel.
+    pub fn partition(&mut self) {}
 
     /// Admits a replica of `spec` at `scale`: creates its LDom, programs
     /// its tier's service classes through the [`federation::admit`]

@@ -103,8 +103,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 }
 
 /// Runs a whole fleet experiment: builds the machines, places the tenant
-/// population, partitions every machine onto the parallel kernel, then
-/// advances the fleet epoch by epoch — machines in parallel via
+/// population, then advances the fleet epoch by epoch — machines in parallel via
 /// [`par_map`], manager reactions serial and deterministic between epochs.
 ///
 /// The control ladder is the paper's "trigger ⇒ action" chain with one
@@ -118,17 +117,11 @@ fn ratio(num: usize, den: usize) -> f64 {
 /// record the escalations but change nothing: the consolidation baseline.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
     let pop = population(cfg);
-    // Construct every machine before partitioning any: PardServer::new
-    // begins a fresh audit run, which would clear the shared conservation
-    // ledger of an already-partitioned sibling.
     let mut machines: Vec<FleetMachine> = (0..cfg.machines)
         .map(|i| FleetMachine::new(i, cfg))
         .collect();
     for spec in &pop {
         machines[spec.home].admit(spec, cfg, 1.0, 0);
-    }
-    for m in &mut machines {
-        m.partition();
     }
 
     let mut state = vec![TenantState::Home; pop.len()];

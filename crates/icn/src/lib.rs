@@ -32,7 +32,6 @@
 mod addr;
 mod clock;
 mod crossbar;
-mod domains;
 mod ds;
 mod event;
 mod link;
@@ -41,7 +40,6 @@ mod packet;
 pub use addr::{LAddr, MAddr, CACHE_LINE_BYTES};
 pub use clock::{cpu_cycles, mem_cycles, to_cpu_cycles, to_mem_cycles, CPU_CYCLE, MEM_CYCLE};
 pub use crossbar::{Crossbar, CrossbarConfig};
-pub use domains::DomainPlan;
 pub use ds::DsId;
 pub use event::{CoreCommand, PardEvent, TickKind};
 pub use link::Link;

@@ -40,29 +40,21 @@
 //! violations this ledger *does* flag are duplicate injections, DS-id
 //! mutations observed at any hop, and unmatched interrupt retirements.
 //!
-//! The ledger is thread-local by default (one live simulation per thread,
-//! the worker-pool contract of `par_map`); callers owning a simulation
-//! must call [`begin_run`] before it starts so a reused worker thread
-//! cannot leak a previous run's in-flight entries into the next. The
-//! partitioned kernel ([`crate::PartitionedSimulation`]) instead flips the
-//! ledger into a process-global **shared** mode via [`set_shared_ledger`]:
-//! one simulation's conservation flows then span several worker threads
-//! (a packet injected by one domain retires in another), so every ledger
-//! operation routes through one mutex-guarded map.
-//!
-//! Several partitioned machines may audit concurrently (the fleet layer
-//! runs one `PardServer` per machine and advances them via `par_map`):
-//! each machine holds a distinct **ledger scope** ([`alloc_ledger_scope`])
-//! that its domain windows install thread-locally ([`set_ledger_scope`])
-//! while they execute, and every ledger key carries the scope — machine
-//! A's packet `(xbar, src 3, id 17)` never collides with machine B's,
-//! even though both machines allocate packet ids from zero.
+//! Each [`Simulation`](crate::Simulation) owns its [`Ledger`]. While it
+//! runs, the kernel swaps that ledger into the auditor's thread-local slot
+//! ([`swap_ledger`]) and swaps it back out when the run call returns or a
+//! handler panics. Packet ids restart at zero in every simulation, so this
+//! keeps the keys of machines that `par_map` steps in turn on one thread
+//! apart, and a machine that moves to another thread between run calls
+//! takes its in-flight packets with it. Ledger operations outside any run
+//! call (harnesses driving components directly) use the thread's own
+//! ledger.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crate::time::Time;
@@ -187,146 +179,42 @@ static OBSERVED: AtomicU64 = AtomicU64::new(0);
 /// off so release builds no longer swallow misrouted packets silently.
 static UNEXPECTED: AtomicU64 = AtomicU64::new(0);
 
-/// Per-run (per-simulation, per-thread) conservation state.
+/// One simulation's conservation state: the packets (and interrupts) in
+/// flight. Opaque; the kernel moves it in and out of the auditor with
+/// [`swap_ledger`].
 #[derive(Default)]
-struct RunState {
-    /// In-flight packets:
-    /// `(ledger scope, domain, source component, packet id) → DS-id`.
-    ledger: HashMap<(u64, &'static str, u32, u64), u16>,
-    /// Outstanding interrupt counts per `(scope, vector, DS-id)`;
-    /// interrupts carry no packet id, so they are conserved as a multiset.
-    irq: HashMap<(u64, u8, u16), i64>,
+pub struct Ledger {
+    /// In-flight packets: `(domain, source component, packet id) → DS-id`.
+    packets: HashMap<(&'static str, u32, u64), u16>,
+    /// Outstanding interrupt counts per `(vector, DS-id)`; interrupts
+    /// carry no packet id, so they are conserved as a multiset.
+    irq: HashMap<(u8, u16), i64>,
+}
+
+impl Ledger {
+    /// Packets and outstanding interrupts in flight. After a full drain
+    /// this is zero; at a mid-flight run deadline it may not be, by
+    /// design.
+    pub fn in_flight(&self) -> usize {
+        let irqs: i64 = self.irq.values().copied().filter(|&c| c > 0).sum();
+        self.packets.len() + irqs as usize
+    }
 }
 
 thread_local! {
-    static RUN: RefCell<RunState> = RefCell::new(RunState::default());
-    /// The calling thread's active ledger scope (see [`set_ledger_scope`]).
-    static SCOPE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static RUN: RefCell<Ledger> = RefCell::new(Ledger::default());
 }
 
-/// Source of fresh ledger-scope ids (0 is the anonymous default scope).
-static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
-
-/// Allocates a fresh, process-unique ledger scope id.
-///
-/// A *scope* names one simulated machine's conservation flows inside the
-/// shared ledger. Packet ids are per-source monotonic **within one
-/// simulation**, so when several partitioned machines audit concurrently
-/// (the fleet layer's `par_map` across machines) their keys would collide
-/// without a scope dimension — machine A's packet `(xbar, src 3, id 17)`
-/// is a different packet from machine B's. Each
-/// [`PartitionedSimulation`](crate::PartitionedSimulation) takes a scope
-/// at construction and installs it on whichever thread executes its
-/// domain windows.
-pub fn alloc_ledger_scope() -> u64 {
-    NEXT_SCOPE.fetch_add(1, Ordering::Relaxed)
+/// Exchanges `ledger` with the calling thread's active ledger. The kernel
+/// calls it in pairs around each run call, so the simulation's own ledger
+/// is the active one exactly while the simulation runs.
+pub fn swap_ledger(ledger: &mut Ledger) {
+    RUN.with(|r| std::mem::swap(&mut *r.borrow_mut(), ledger));
 }
 
-/// Sets the calling thread's ledger scope, returning the previous one so
-/// callers can restore it. Scope 0 is the default for plain sequential
-/// simulations (one live simulation per thread).
-pub fn set_ledger_scope(scope: u64) -> u64 {
-    SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's active ledger scope.
-pub fn ledger_scope() -> u64 {
-    SCOPE.with(std::cell::Cell::get)
-}
-
-/// When set, ledger operations route to [`SHARED`] instead of the
-/// thread-local [`RUN`] — the partitioned kernel's mode, where one
-/// simulation's conservation flows span several worker threads.
-static SHARED_MODE: AtomicBool = AtomicBool::new(false);
-static SHARED: Mutex<Option<RunState>> = Mutex::new(None);
-/// Live scoped sharers ([`share_ledger_scoped`] / [`release_shared_ledger`]
-/// pairs): shared mode stays on until the last partitioned machine drops.
-static SHARED_REFS: AtomicU64 = AtomicU64::new(0);
-
-impl RunState {
-    /// Folds `other` into `self` (used when migrating between the
-    /// thread-local and shared ledgers). Packet keys are disjoint between
-    /// the two by construction; interrupt multisets add.
-    fn absorb(&mut self, other: RunState) {
-        self.ledger.extend(other.ledger);
-        for (key, count) in other.irq {
-            *self.irq.entry(key).or_insert(0) += count;
-        }
-    }
-}
-
-/// Runs `f` against the active conservation ledger: the shared one in
-/// shared mode, the calling thread's otherwise.
-fn with_run<R>(f: impl FnOnce(&mut RunState) -> R) -> R {
-    if SHARED_MODE.load(Ordering::Acquire) {
-        let mut guard = SHARED.lock().unwrap_or_else(|e| e.into_inner());
-        f(guard.get_or_insert_with(RunState::default))
-    } else {
-        RUN.with(|r| f(&mut r.borrow_mut()))
-    }
-}
-
-/// Switches the conservation ledger between thread-local and shared mode.
-///
-/// The partitioned kernel enables shared mode when it takes over an
-/// audited simulation (domains run on worker threads, so a packet can be
-/// injected on one thread and retired on another) and disables it again
-/// when dropped. Entries in flight at the switch migrate with it, in both
-/// directions, so a sequential warm-up before partitioning stays conserved.
-pub fn set_shared_ledger(on: bool) {
-    if on {
-        let local = RUN.with(|r| std::mem::take(&mut *r.borrow_mut()));
-        let mut guard = SHARED.lock().unwrap_or_else(|e| e.into_inner());
-        guard.get_or_insert_with(RunState::default).absorb(local);
-        drop(guard);
-        SHARED_MODE.store(true, Ordering::Release);
-    } else {
-        SHARED_MODE.store(false, Ordering::Release);
-        let taken = SHARED
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(shared) = taken {
-            RUN.with(|r| r.borrow_mut().absorb(shared));
-        }
-    }
-}
-
-/// [`set_shared_ledger`]`(true)` that additionally rewrites the calling
-/// thread's migrating entries into `scope`.
-///
-/// A partitioned machine may have warmed up sequentially on this thread
-/// (scope 0) before partitioning; its in-flight packets must retire under
-/// the scope its domain windows will run with, so the migration rekeys
-/// them. Only this thread's local entries are rekeyed — other machines'
-/// flows already in the shared ledger keep their own scopes.
-pub fn share_ledger_scoped(scope: u64) {
-    SHARED_REFS.fetch_add(1, Ordering::AcqRel);
-    let local = RUN.with(|r| std::mem::take(&mut *r.borrow_mut()));
-    let mut rekeyed = RunState::default();
-    for ((_, domain, src, id), ds) in local.ledger {
-        rekeyed.ledger.insert((scope, domain, src, id), ds);
-    }
-    for ((_, vector, ds), count) in local.irq {
-        *rekeyed.irq.entry((scope, vector, ds)).or_insert(0) += count;
-    }
-    let mut guard = SHARED.lock().unwrap_or_else(|e| e.into_inner());
-    guard.get_or_insert_with(RunState::default).absorb(rekeyed);
-    drop(guard);
-    SHARED_MODE.store(true, Ordering::Release);
-}
-
-/// Releases one [`share_ledger_scoped`] hold. Shared mode (and the shared
-/// map's leftovers) fold back into the calling thread's ledger only when
-/// the last holder releases — several partitioned machines may be live at
-/// once, and one machine dropping must not strand its siblings' in-flight
-/// entries in thread-local mode.
-pub fn release_shared_ledger() {
-    let prev = SHARED_REFS.fetch_sub(1, Ordering::AcqRel);
-    if prev <= 1 {
-        SHARED_REFS.store(0, Ordering::Release);
-        set_shared_ledger(false);
-    }
+/// Runs `f` against the calling thread's active ledger.
+fn with_run<R>(f: impl FnOnce(&mut Ledger) -> R) -> R {
+    RUN.with(|r| f(&mut r.borrow_mut()))
 }
 
 /// True when auditing is on. This is the hot-path guard: a single relaxed
@@ -419,10 +307,7 @@ pub fn disable() {
         }
     }
     *guard = None;
-    RUN.with(|r| *r.borrow_mut() = RunState::default());
-    SHARED_MODE.store(false, Ordering::Release);
-    SHARED_REFS.store(0, Ordering::Release);
-    *SHARED.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    RUN.with(|r| *r.borrow_mut() = Ledger::default());
 }
 
 /// Flushes the JSONL sink (if any) without disabling auditing.
@@ -432,22 +317,6 @@ pub fn flush() {
         if let Some(sink) = state.sink.as_mut() {
             let _ = sink.flush();
         }
-    }
-}
-
-/// Resets the calling thread's conservation ledger.
-///
-/// Must be called before a new simulation starts on this thread (the
-/// system model does this at construction): packet ids restart at zero per
-/// run, so a reused worker thread would otherwise see a previous run's
-/// in-flight entries as duplicate injections.
-pub fn begin_run() {
-    if !enabled() {
-        return;
-    }
-    RUN.with(|r| *r.borrow_mut() = RunState::default());
-    if SHARED_MODE.load(Ordering::Acquire) {
-        *SHARED.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 }
 
@@ -515,8 +384,7 @@ pub fn packet_inject(domain: &'static str, src: u32, id: u64, ds: u16, time: Tim
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
-    let duplicate = with_run(|r| r.ledger.insert((scope, domain, src, id), ds).is_some());
+    let duplicate = with_run(|r| r.packets.insert((domain, src, id), ds).is_some());
     if duplicate {
         violation(
             AuditKind::Conservation,
@@ -539,10 +407,9 @@ pub fn packet_hop(domain: &'static str, src: u32, id: u64, ds: u16, time: Time, 
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
     let mismatch = with_run(|r| {
-        r.ledger
-            .get(&(scope, domain, src, id))
+        r.packets
+            .get(&(domain, src, id))
             .copied()
             .filter(|&tagged| tagged != ds)
     });
@@ -578,10 +445,9 @@ pub fn packet_retire(
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
     let mismatch = with_run(|r| {
-        r.ledger
-            .remove(&(scope, domain, src, id))
+        r.packets
+            .remove(&(domain, src, id))
             .filter(|&tagged| tagged != ds)
     });
     if let Some(tagged) = mismatch {
@@ -608,9 +474,8 @@ pub fn packet_drop(domain: &'static str, src: u32, id: u64) {
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
     with_run(|r| {
-        r.ledger.remove(&(scope, domain, src, id));
+        r.packets.remove(&(domain, src, id));
     });
 }
 
@@ -620,9 +485,8 @@ pub fn irq_inject(vector: u8, ds: u16) {
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
     with_run(|r| {
-        *r.irq.entry((scope, vector, ds)).or_insert(0) += 1;
+        *r.irq.entry((vector, ds)).or_insert(0) += 1;
     });
 }
 
@@ -633,9 +497,8 @@ pub fn irq_settle(vector: u8, ds: u16, time: Time, stage: &'static str) {
     if !enabled() {
         return;
     }
-    let scope = ledger_scope();
     let unmatched = with_run(|r| {
-        let count = r.irq.entry((scope, vector, ds)).or_insert(0);
+        let count = r.irq.entry((vector, ds)).or_insert(0);
         *count -= 1;
         if *count < 0 {
             *count = 0;
@@ -700,15 +563,10 @@ pub fn unexpected_events() -> u64 {
     UNEXPECTED.load(Ordering::Relaxed)
 }
 
-/// Packets (and outstanding interrupts) currently in flight on the active
-/// ledger (this thread's, or the shared one in shared mode). After a full
-/// drain this is zero; at a mid-flight run deadline it may not be, by
-/// design.
+/// Packets (and outstanding interrupts) in flight on the calling thread's
+/// active ledger (see [`Ledger::in_flight`]).
 pub fn in_flight() -> usize {
-    with_run(|run| {
-        let irqs: i64 = run.irq.values().copied().filter(|&c| c > 0).sum();
-        run.ledger.len() + irqs as usize
-    })
+    with_run(|run| run.in_flight())
 }
 
 /// Total violations recorded since [`install`].
@@ -737,9 +595,10 @@ pub fn first_violation() -> Option<String> {
 }
 
 /// Appends a summary line to the sink (the system model calls this when it
-/// shuts down): total violations, per-kind counts, and the number of
-/// kernel deliveries the audit hook observed.
-pub fn emit_summary(now: Time) {
+/// shuts down): total violations, per-kind counts, the number of kernel
+/// deliveries the audit hook observed, and the packets still in flight on
+/// the shutting-down machine's own `ledger`.
+pub fn emit_summary(now: Time, ledger: &Ledger) {
     if !enabled() {
         return;
     }
@@ -754,11 +613,12 @@ pub fn emit_summary(now: Time) {
     use std::fmt::Write as _;
     let _ = write!(
         line,
-        "{{\"time\":{},\"ds\":{},\"kind\":\"summary\",\"check\":\"summary\",\"total\":{},\"deliveries\":{}",
+        "{{\"time\":{},\"ds\":{},\"kind\":\"summary\",\"check\":\"summary\",\"total\":{},\"deliveries\":{},\"in_flight\":{}",
         format_ns(now),
         u16::MAX,
         state.total,
         OBSERVED.load(Ordering::Relaxed),
+        ledger.in_flight(),
     );
     for kind in AuditKind::ALL {
         let _ = write!(line, ",\"{}\":{}", kind.name(), state.counts[kind as usize]);
@@ -785,7 +645,9 @@ mod tests {
         install(AuditConfig::report()).unwrap();
         assert!(enabled());
         assert!(!strict());
-        begin_run();
+        // Start from an empty ledger whatever this thread ran before.
+        let mut thread_ledger = Ledger::default();
+        swap_ledger(&mut thread_ledger);
 
         // A direct violation is recorded with its fields rendered.
         violation(
@@ -845,69 +707,50 @@ mod tests {
         assert_eq!(violations_by_kind(AuditKind::Conservation), 3);
         assert!(unexpected_events() >= 1);
 
-        // begin_run clears a reused thread's in-flight state.
-        packet_inject("xbar", 1, 9, 3, Time::ZERO);
-        assert_eq!(in_flight(), 1);
-        begin_run();
-        assert_eq!(in_flight(), 0);
-        packet_inject("xbar", 1, 9, 3, Time::ZERO);
+        // Swapped-in ledgers keep their packets apart: two simulations
+        // injecting the same (domain, src, id) key are distinct packets,
+        // and each ledger carries its own in-flight entries while out.
         let before = violations_total();
-        assert_eq!(
-            before,
-            violations_total(),
-            "re-injecting after begin_run must not flag a duplicate"
-        );
-
-        // Shared-ledger mode: in-flight entries migrate on enable, any
-        // thread settles against the same ledger, and leftovers migrate
-        // back on disable.
-        let local_before = in_flight();
-        packet_inject("xbar", 1, 20, 3, Time::ZERO);
-        set_shared_ledger(true);
-        assert_eq!(in_flight(), local_before + 1, "local entries migrate in");
-        std::thread::spawn(|| packet_retire("xbar", 1, 20, 3, Time::from_ns(1), "llc"))
-            .join()
-            .unwrap();
-        assert_eq!(in_flight(), local_before, "another thread retires shared entries");
-        set_shared_ledger(false);
-        assert_eq!(in_flight(), local_before, "leftovers migrate back out");
-
-        // Ledger scopes: two machines injecting the same (domain, src, id)
-        // key do not collide, and a scoped warm-up entry migrates into the
-        // shared ledger rekeyed to its machine's scope.
-        begin_run();
-        let before = violations_total();
-        let scope_a = alloc_ledger_scope();
-        let scope_b = alloc_ledger_scope();
-        assert_ne!(scope_a, scope_b);
-        set_ledger_scope(scope_a);
+        let leftover = in_flight();
+        let mut machine_a = Ledger::default();
+        let mut machine_b = Ledger::default();
+        swap_ledger(&mut machine_a);
         packet_inject("xbar", 1, 40, 3, Time::ZERO);
-        set_ledger_scope(scope_b);
+        swap_ledger(&mut machine_a);
+        swap_ledger(&mut machine_b);
         packet_inject("xbar", 1, 40, 5, Time::ZERO);
+        swap_ledger(&mut machine_b);
         assert_eq!(
             violations_total(),
             before,
-            "identical keys in different scopes are distinct packets"
+            "identical keys in different ledgers are distinct packets"
         );
-        packet_retire("xbar", 1, 40, 5, Time::from_ns(1), "llc");
-        set_ledger_scope(scope_a);
-        packet_retire("xbar", 1, 40, 3, Time::from_ns(1), "llc");
-        assert_eq!(violations_total(), before, "per-scope DS tags preserved");
-        assert_eq!(in_flight(), 0);
-        // Warm-up migration: a scope-0 entry rekeys to the machine's scope.
-        set_ledger_scope(0);
-        packet_inject("dma", 4, 50, 2, Time::ZERO);
-        share_ledger_scoped(scope_a);
-        set_ledger_scope(scope_a);
-        packet_retire("dma", 4, 50, 7, Time::from_ns(2), "memctrl");
+        assert_eq!((machine_a.in_flight(), machine_b.in_flight()), (1, 1));
+        assert_eq!(
+            in_flight(),
+            leftover,
+            "the thread's own ledger is untouched"
+        );
+        // A ledger moved to another thread retires there, DS tag intact.
+        let machine_a = std::thread::spawn(move || {
+            swap_ledger(&mut machine_a);
+            packet_retire("xbar", 1, 40, 3, Time::from_ns(1), "llc");
+            swap_ledger(&mut machine_a);
+            machine_a
+        })
+        .join()
+        .unwrap();
+        assert_eq!(machine_a.in_flight(), 0);
+        assert_eq!(violations_total(), before, "per-ledger DS tags preserved");
+        swap_ledger(&mut machine_b);
+        packet_retire("xbar", 1, 40, 6, Time::from_ns(1), "llc");
+        swap_ledger(&mut machine_b);
         assert_eq!(
             violations_total(),
             before + 1,
-            "rekeyed warm-up entry still checks DS preservation"
+            "a DS mutation is still caught through a swapped-in ledger"
         );
-        set_ledger_scope(0);
-        set_shared_ledger(false);
-        begin_run();
+        swap_ledger(&mut thread_ledger);
 
         // Strict mode panics on the first violation, after recording it.
         install(AuditConfig::strict()).unwrap();

@@ -69,10 +69,11 @@ impl fmt::Display for ComponentId {
 /// [`Component::handle`] once per delivered event; the component may mutate
 /// its own state and schedule further events through the [`Ctx`].
 ///
-/// `Send` is a supertrait because the partitioned kernel
-/// ([`crate::PartitionedSimulation`]) may run a component's domain on a
-/// worker thread. Only one thread ever touches a component at a time — the
-/// bound is about *moving* domains to workers, not sharing.
+/// `Send` is a supertrait because [`par_map`](crate::par::par_map) moves
+/// whole machines between worker threads (the fleet steps each machine on
+/// whichever worker claims it, epoch by epoch). Only one thread ever
+/// touches a component at a time — the bound is about *moving* a
+/// simulation to a worker, not sharing it.
 ///
 /// Implementors must also provide [`Component::as_any_mut`] /
 /// [`Component::as_any`] so tests and wiring code can downcast; the

@@ -290,7 +290,7 @@ impl FourAryHeap {
 /// `head` — and
 /// the next pop takes `run[head]`: O(1) each way, with no data-dependent
 /// branches. A key that would break the order (a wider bucket's earlier
-/// timestamp, a remote arrival's carried seq) goes to `side`, a four-ary
+/// timestamp) goes to `side`, a four-ary
 /// heap, and each pop takes the smaller of the two fronts. The worst case
 /// is therefore the plain heap's; the common case is a FIFO.
 #[derive(Debug)]
@@ -547,55 +547,12 @@ impl<E> EventQueue<E> {
     /// forgot to connect a port.
     #[inline(always)]
     pub fn push(&mut self, time: Time, dst: ComponentId, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_with_seq(time, seq, dst, event);
-    }
-
-    /// Allocates the next sequence number without scheduling anything.
-    ///
-    /// The partitioned kernel uses this for cross-domain sends: the seq is
-    /// drawn from the *sending* domain's counter at send time and carried
-    /// with the event, so the `(time, seq)` merge order at the destination
-    /// is fixed by the schedule itself, not by when the remote batch is
-    /// ingested.
-    #[inline]
-    pub fn allocate_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Rebases the insertion-sequence counter (e.g. to
-    /// `domain_index << 48`, giving each domain queue a disjoint seq
-    /// space so carried cross-domain seqs can never collide with local
-    /// ones).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` would run the counter backwards.
-    pub fn set_seq_base(&mut self, base: u64) {
-        assert!(
-            base >= self.next_seq,
-            "seq base must not move the counter backwards"
-        );
-        self.next_seq = base;
-    }
-
-    /// Schedules `event` for `dst` at `time` with a caller-supplied
-    /// sequence number (a remote arrival carrying its sender-allocated
-    /// seq). Pops still come in exact lexicographic `(time, seq)` order;
-    /// the caller is responsible for seq-space disjointness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is [`ComponentId::UNWIRED`].
-    #[inline(always)]
-    pub fn push_with_seq(&mut self, time: Time, seq: u64, dst: ComponentId, event: E) {
         assert!(
             !dst.is_unwired(),
             "event scheduled for an unwired component port"
         );
+        let seq = self.next_seq;
+        self.next_seq += 1;
         // Inlined into the sender, so the payload is built straight into
         // its slab slot; only the key's fields cross into `place`.
         let slot = self.slab.insert(event);
@@ -1175,13 +1132,11 @@ mod tests {
         shift_changes: u64,
         overflow_pulls: u64,
         empty_rebases: u64,
-        remote_pushes: u64,
         max_slots: usize,
         max_live: usize,
     }
 
-    /// One randomized run: interleaves `push`, `push_with_seq` with
-    /// composite domain seqs, `allocate_seq`, `peek_time` and `pop`
+    /// One randomized run: interleaves `push`, `peek_time` and `pop`
     /// through dense, sparse and far-timer phases, mirroring every
     /// operation on a `BinaryHeap<ScheduledEvent>` — the queue's original
     /// single-heap layout — and demanding identical pops.
@@ -1192,8 +1147,7 @@ mod tests {
         let live = std::rc::Rc::new(std::cell::Cell::new(0i64));
         let mut q: EventQueue<Tracked> = EventQueue::new();
         let mut reference: BinaryHeap<ScheduledEvent<u64>> = BinaryHeap::new();
-        let mut local_seq = 0u64; // mirrors the queue's own counter
-        let mut remote_ctr = [0u64; 3];
+        let mut seq = 0u64; // mirrors the queue's own counter
         let mut now = 0u64;
         let mut id = 0u64;
         let mut was_empty = true;
@@ -1215,36 +1169,14 @@ mod tests {
                 };
                 let t = now + delay;
                 let dst = ComponentId::from_raw(rng.gen_range(0u32..8));
-                if op % 7 == 0 {
-                    // A remote arrival carrying its sender's composite seq
-                    // (`domain << 48 | counter`, domains 1..=3).
-                    let d = rng.gen_range(0usize..3);
-                    let seq = ((d as u64 + 1) << 48) | remote_ctr[d];
-                    remote_ctr[d] += 1;
-                    q.push_with_seq(Time::from_units(t), seq, dst, Tracked::new(id, &live));
-                    reference.push(ScheduledEvent {
-                        time: Time::from_units(t),
-                        seq,
-                        dst,
-                        event: id,
-                    });
-                    cov.remote_pushes += 1;
-                } else {
-                    if op % 11 == 0 {
-                        // A seq drawn but never scheduled (a cross-domain
-                        // send's allocation) must still be skipped.
-                        assert_eq!(q.allocate_seq(), local_seq);
-                        local_seq += 1;
-                    }
-                    q.push(Time::from_units(t), dst, Tracked::new(id, &live));
-                    reference.push(ScheduledEvent {
-                        time: Time::from_units(t),
-                        seq: local_seq,
-                        dst,
-                        event: id,
-                    });
-                    local_seq += 1;
-                }
+                q.push(Time::from_units(t), dst, Tracked::new(id, &live));
+                reference.push(ScheduledEvent {
+                    time: Time::from_units(t),
+                    seq,
+                    dst,
+                    event: id,
+                });
+                seq += 1;
                 if was_empty {
                     cov.empty_rebases += 1;
                     was_empty = false;
@@ -1291,7 +1223,6 @@ mod tests {
         assert!(cov.shift_changes > 0, "no bucket-width change (rebucket or rebase)");
         assert!(cov.overflow_pulls > 0, "nothing migrated out of the overflow tier");
         assert!(cov.empty_rebases > 48, "the queue never drained and refilled");
-        assert!(cov.remote_pushes > 0);
         // Slot reuse: the slab never grows past the peak live count.
         assert!(
             cov.max_slots <= cov.max_live,

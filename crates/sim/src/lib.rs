@@ -45,7 +45,7 @@
 //! simulator "based on gem5" with full-system checkpoints): where the
 //! authors forked an existing simulator, this reproduction builds the
 //! event core from scratch so that determinism, parallel execution
-//! ([`par`], the domain-partitioned driver), statistics ([`stats`]),
+//! ([`par`], whole simulations across worker threads), statistics ([`stats`]),
 //! tracing ([`trace`]), and invariant auditing ([`audit`]) are designed
 //! in rather than bolted on. Nothing in this crate models a PARD
 //! mechanism itself — it is the vessel every mechanism crate
@@ -70,5 +70,5 @@ pub mod trace;
 
 pub use component::{Component, ComponentId};
 pub use event::{EventQueue, ScheduledEvent};
-pub use kernel::{Ctx, PartitionedSimulation, Simulation};
+pub use kernel::{Ctx, Simulation};
 pub use time::Time;

@@ -99,7 +99,7 @@ impl StoreConfig {
     }
 }
 
-/// An owned field value of a decoded (or staged) trace event.
+/// An owned field value of a decoded trace event.
 ///
 /// Mirrors `trace::TraceVal`, with strings owned so decoded events are
 /// self-contained.

@@ -82,87 +82,6 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     std::sync::mpsc::channel()
 }
 
-/// A single-producer single-consumer batch mailbox.
-///
-/// The partitioned kernel ([`crate::PartitionedSimulation`]) exchanges
-/// time-stamped cross-domain event batches through these: exactly one side
-/// deposits whole batches with [`put`](Mailbox::put), the other drains them
-/// with [`take_into`](Mailbox::take_into). Batches are moved (`Vec` swaps),
-/// never copied element-wise under the lock, and the drain hands its spare
-/// buffers back so a steady-state epoch exchange performs no allocation.
-///
-/// Built on the first-party [`Mutex`]; the lock is uncontended by
-/// construction (producer and consumer touch it at disjoint points of the
-/// epoch barrier), so this is cheaper than a lock-free ring and trivially
-/// correct.
-pub struct Mailbox<T> {
-    slots: Mutex<MailboxInner<T>>,
-}
-
-struct MailboxInner<T> {
-    full: Vec<Vec<T>>,
-    spare: Vec<Vec<T>>,
-}
-
-impl<T> Mailbox<T> {
-    /// Creates an empty mailbox.
-    pub fn new() -> Self {
-        Mailbox {
-            slots: Mutex::new(MailboxInner {
-                full: Vec::new(),
-                spare: Vec::new(),
-            }),
-        }
-    }
-
-    /// Takes a recycled buffer (or a fresh one) for the producer to fill.
-    pub fn lease(&self) -> Vec<T> {
-        self.slots.lock().spare.pop().unwrap_or_default()
-    }
-
-    /// Deposits one batch. Empty batches are returned to the spare pool
-    /// instead of queueing.
-    pub fn put(&self, batch: Vec<T>) {
-        let mut inner = self.slots.lock();
-        if batch.is_empty() {
-            inner.spare.push(batch);
-        } else {
-            inner.full.push(batch);
-        }
-    }
-
-    /// Drains every deposited batch, in deposit order, into `out`; the
-    /// emptied buffers go back to the spare pool.
-    pub fn take_into(&self, out: &mut Vec<T>) {
-        let mut inner = self.slots.lock();
-        // Move the batch list out so element moves happen off the lock's
-        // critical path only in spirit — the lock is uncontended here; the
-        // swap keeps the borrow checker happy about `inner`.
-        let mut full = std::mem::take(&mut inner.full);
-        for batch in &mut full {
-            out.append(batch);
-        }
-        inner.spare.append(&mut full);
-    }
-
-    /// Whether any batch is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.slots.lock().full.is_empty()
-    }
-}
-
-impl<T> Default for Mailbox<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> fmt::Debug for Mailbox<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Mailbox")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,21 +130,5 @@ mod tests {
     fn debug_formats() {
         let m = Mutex::new(3u8);
         assert!(format!("{m:?}").contains('3'));
-    }
-
-    #[test]
-    fn mailbox_round_trips_batches_in_order() {
-        let mb = Mailbox::new();
-        let mut b = mb.lease();
-        b.extend([1, 2]);
-        mb.put(b);
-        mb.put(vec![3]);
-        mb.put(Vec::new()); // empty batches recycle, not queue
-        let mut out = Vec::new();
-        mb.take_into(&mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert!(mb.is_empty());
-        // The drained buffers came back to the spare pool.
-        assert!(mb.lease().capacity() >= 1);
     }
 }

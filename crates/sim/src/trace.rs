@@ -149,16 +149,6 @@ impl TraceVal {
             TraceVal::B(b) => ValRef::B(b),
         }
     }
-
-    /// The store's owned value, for staging in a domain buffer.
-    fn to_store_val(self) -> store::Val {
-        match self {
-            TraceVal::U(u) => store::Val::U(u),
-            TraceVal::F(f) => store::Val::F(f),
-            TraceVal::S(s) => store::Val::S(s.to_string()),
-            TraceVal::B(b) => store::Val::B(b),
-        }
-    }
 }
 
 /// Default per-category sampling divisors: the kernel loop and the
@@ -228,10 +218,6 @@ enum Sink {
 }
 
 impl Sink {
-    fn is_binary(&self) -> bool {
-        matches!(self, Sink::Binary(_))
-    }
-
     /// Makes everything accepted so far visible to readers of the sink.
     fn flush(&mut self) {
         match self {
@@ -270,217 +256,9 @@ struct TraceState {
     emitted: u64,
 }
 
-impl TraceState {
-    /// Routes one kept event (already filtered/sampled) to the sink.
-    ///
-    /// The two staged forms exist because the partitioned kernel renders
-    /// (or structures) events inside domain windows, where the sink kind
-    /// was snapshot at build time. If a differently-sinked tracer was
-    /// installed mid-run the forms can mismatch; a line is still recorded
-    /// verbatim, and a structured event is re-rendered — neither is
-    /// silently dropped.
-    fn sink_one(&mut self, staged: Staged) {
-        match (&mut self.sink, staged) {
-            (Sink::Binary(w), Staged::Event(ev)) => {
-                let _ = w.append(ev.cat, ev.time, ev.ds, &ev.event, ev.field_refs());
-            }
-            (Sink::Binary(w), Staged::Line(line)) => {
-                // A pre-rendered line cannot be re-structured; store it as
-                // an opaque single-field event rather than lose it.
-                debug_assert!(false, "JSONL line staged while binary sink active");
-                let _ = w.append(
-                    TraceCat::Kernel as u8,
-                    0,
-                    0,
-                    "opaque_line",
-                    [("line", ValRef::S(&line))].into_iter(),
-                );
-            }
-            (_, staged) => {
-                let line = match staged {
-                    Staged::Line(line) => line,
-                    Staged::Event(ev) => match render_stored(&ev) {
-                        Ok(line) => line,
-                        Err(_) => {
-                            debug_assert!(false, "staged event with bad category byte");
-                            return;
-                        }
-                    },
-                };
-                if let Sink::Jsonl(w) = &mut self.sink {
-                    let _ = writeln!(w, "{line}");
-                }
-                if self.ring.len() == self.ring_capacity {
-                    self.ring.pop_front();
-                }
-                self.ring.push_back(line);
-            }
-        }
-        self.emitted += 1;
-    }
-}
-
 /// Bit i set = category i enabled. The one and only hot-path cost.
 static MASK: AtomicU32 = AtomicU32::new(0);
 static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
-
-std::thread_local! {
-    /// The per-domain trace buffer of the partitioned-kernel domain this
-    /// thread is currently executing, if any (see [`enter_domain`]).
-    static BUFFER: std::cell::RefCell<Option<DomainBuffer>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// A per-domain trace staging buffer for the partitioned kernel.
-///
-/// Each domain of a [`PartitionedSimulation`](crate::PartitionedSimulation)
-/// owns one. While a domain window executes (on whichever thread), its
-/// buffer is parked in thread-local storage via [`enter_domain`]; `emit`
-/// then filters and samples against the buffer's *snapshot* of the tracer
-/// config, using per-domain sampling counters, and stages the rendered
-/// line locally instead of taking the global lock. At each epoch barrier
-/// the coordinator drains every domain's lines, merges them by
-/// `(time, domain)`, and appends them to the global ring/sink in one pass
-/// — so trace output is deterministic regardless of how many worker
-/// threads served the domains.
-///
-/// The snapshot is taken when the partitioned simulation is built;
-/// install the tracer first (the system model does).
-///
-/// The handle is one pointer wide: the kernel parks and unparks it on
-/// every domain window while tracing is live, so the snapshot lives behind
-/// a box and an inert buffer is just `None`. When every domain's buffer is
-/// inert ([`is_inert`](DomainBuffer::is_inert)) the kernel parks one inert
-/// buffer for a whole run call instead: inert buffers all drop emits
-/// alike, so which one is parked makes no difference.
-#[derive(Default)]
-pub struct DomainBuffer {
-    /// The snapshot, or `None` when no tracer was installed at snapshot
-    /// time. An inert buffer drops events — mixing late-installed global
-    /// state into some domains but not others would be nondeterministic.
-    inner: Option<Box<BufferInner>>,
-}
-
-/// The tracer snapshot and staged records behind a [`DomainBuffer`].
-struct BufferInner {
-    /// Whether the sink at snapshot time was the binary store; selects
-    /// whether emits stage structured events or rendered lines.
-    binary: bool,
-    ds_filter: [Option<Vec<u16>>; CATS],
-    sample_div: [u32; CATS],
-    sample_ctr: [u32; CATS],
-    staged: Vec<(u64, Staged)>,
-}
-
-/// One kept trace record staged in a [`DomainBuffer`], in the form the
-/// sink active at snapshot time consumes: a rendered JSONL line for the
-/// ring/JSONL sinks, a structured [`store::Event`] for the binary store
-/// (which must not pay a render, and needs the typed fields for
-/// varint/delta encoding).
-#[derive(Debug)]
-pub enum Staged {
-    /// A rendered JSONL line.
-    Line(String),
-    /// A structured event destined for the binary store.
-    Event(store::Event),
-}
-
-impl DomainBuffer {
-    /// Captures the currently-installed tracer's filter/sampling config
-    /// (inert if no tracer is installed).
-    pub fn snapshot() -> DomainBuffer {
-        let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-        DomainBuffer {
-            inner: guard.as_ref().map(|s| {
-                Box::new(BufferInner {
-                    binary: s.sink.is_binary(),
-                    ds_filter: s.ds_filter.clone(),
-                    sample_div: s.sample_div,
-                    sample_ctr: [0; CATS],
-                    staged: Vec::new(),
-                })
-            }),
-        }
-    }
-
-    /// True when no tracer was installed at snapshot time: every emit is
-    /// dropped and nothing is ever staged.
-    #[inline]
-    pub fn is_inert(&self) -> bool {
-        self.inner.is_none()
-    }
-
-    /// Takes the staged `(time-units, record)` pairs, in emission order.
-    pub fn drain_staged(&mut self) -> Vec<(u64, Staged)> {
-        self.inner
-            .as_mut()
-            .map_or_else(Vec::new, |inner| std::mem::take(&mut inner.staged))
-    }
-
-    fn emit(&mut self, cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
-        if let Some(inner) = &mut self.inner {
-            inner.emit(cat, time, ds, event, fields);
-        }
-    }
-}
-
-impl BufferInner {
-    fn emit(&mut self, cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) {
-        let ci = cat as usize;
-        if let Some(allow) = &self.ds_filter[ci] {
-            if !allow.contains(&ds) {
-                return;
-            }
-        }
-        let div = self.sample_div[ci];
-        if div > 1 {
-            let c = self.sample_ctr[ci];
-            self.sample_ctr[ci] = (c + 1) % div;
-            if c != 0 {
-                return;
-            }
-        }
-        let staged = if self.binary {
-            Staged::Event(store::Event {
-                cat: cat as u8,
-                time: time.units(),
-                ds,
-                event: event.to_string(),
-                fields: fields
-                    .iter()
-                    .map(|&(k, v)| (k.to_string(), v.to_store_val()))
-                    .collect(),
-            })
-        } else {
-            Staged::Line(render_line(cat, time, ds, event, fields))
-        };
-        self.staged.push((time.units(), staged));
-    }
-}
-
-/// Parks `buf` in thread-local storage: until [`exit_domain`], every
-/// `emit` on this thread stages into it instead of the global tracer.
-pub fn enter_domain(buf: DomainBuffer) {
-    BUFFER.with(|b| *b.borrow_mut() = Some(buf));
-}
-
-/// Removes and returns the thread's domain buffer (inert if none was
-/// entered).
-pub fn exit_domain() -> DomainBuffer {
-    BUFFER.with(|b| b.borrow_mut().take()).unwrap_or_default()
-}
-
-/// Appends already-filtered staged records (a merged epoch drain from the
-/// partitioned kernel) to the global sink, in the given order.
-pub fn sink_staged(records: impl IntoIterator<Item = Staged>) {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = guard.as_mut() else {
-        return;
-    };
-    for staged in records {
-        state.sink_one(staged);
-    }
-}
 
 /// True when `cat` is being traced. This is the hot-path guard: a single
 /// relaxed atomic load, so instrumented components pay nothing measurable
@@ -743,20 +521,6 @@ pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, Tr
     if !enabled(cat) {
         return;
     }
-    // Partitioned-kernel path: if this thread is executing a domain
-    // window, stage into the domain's buffer (its own snapshot, its own
-    // sampling counters — no global lock, deterministic per domain).
-    let buffered = BUFFER.with(|b| {
-        if let Some(buf) = b.borrow_mut().as_mut() {
-            buf.emit(cat, time, ds, event, fields);
-            true
-        } else {
-            false
-        }
-    });
-    if buffered {
-        return;
-    }
     let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
     let Some(state) = guard.as_mut() else {
         return;
@@ -798,8 +562,7 @@ pub fn emit(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, Tr
     state.emitted += 1;
 }
 
-/// Renders one trace event as its JSONL line (shared by the global and
-/// per-domain paths so both produce identical bytes).
+/// Renders one trace event as its JSONL line.
 fn render_line(cat: TraceCat, time: Time, ds: u16, event: &str, fields: &[(&str, TraceVal)]) -> String {
     let mut line = render_prefix(cat, time.units(), ds, event);
     render_fields(&mut line, fields.iter().map(|(k, v)| (*k, v.as_store_ref())));
@@ -986,47 +749,13 @@ mod tests {
         assert_eq!(recent_lines().len(), 2);
         assert!(recent_lines()[0].contains("\"time\":3"));
 
-        // Per-domain buffers (partitioned kernel): a parked buffer takes
-        // the emits with its own snapshot/counters; the drained records
-        // merge through sink_staged byte-identically to the global path.
-        install(TraceConfig {
-            path: None,
-            filter: vec![(TraceCat::Llc, None)],
-            sample: vec![(TraceCat::Llc, 1)],
-            ring_capacity: 8,
-            ..TraceConfig::default()
-        })
-        .unwrap();
-        let live = DomainBuffer::snapshot();
-        assert!(!live.is_inert());
-        enter_domain(live);
-        emit(TraceCat::Llc, Time::from_ns(7), 4, "hit", &[]);
-        emit(TraceCat::Dram, Time::from_ns(7), 4, "issue", &[]); // category off
-        assert_eq!(lines_emitted(), 0, "buffered lines must not hit the ring yet");
-        let mut buf = exit_domain();
-        let staged = buf.drain_staged();
-        assert_eq!(staged.len(), 1);
-        assert_eq!(staged[0].0, Time::from_ns(7).units());
-        assert!(matches!(staged[0].1, Staged::Line(_)));
-        sink_staged(staged.into_iter().map(|(_, s)| s));
-        assert_eq!(lines_emitted(), 1);
-        assert_eq!(
-            recent_lines()[0],
-            "{\"time\":7,\"ds\":4,\"cat\":\"llc\",\"event\":\"hit\"}"
-        );
-        // An inert buffer (no tracer at snapshot time) drops deterministically.
-        let inert = DomainBuffer::default();
-        enter_domain(inert);
-        emit(TraceCat::Llc, Time::from_ns(8), 4, "hit", &[]);
-        assert!(exit_domain().drain_staged().is_empty());
-
         disable();
         assert!(!enabled(TraceCat::Io));
         assert!(recent_lines().is_empty());
 
-        // Binary sink (`.ptr`): the global path appends structured events,
-        // domain buffers stage structured events, the ring stays empty,
-        // and decoding + render_stored reproduces the exact JSONL bytes.
+        // Binary sink (`.ptr`): emits append structured events, the ring
+        // stays empty, and decoding + render_stored reproduces the exact
+        // JSONL bytes.
         let dir = std::env::temp_dir().join(format!("pard-trace-bin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ptr = dir.join("t.ptr");
@@ -1050,16 +779,7 @@ mod tests {
                 ("occ", TraceVal::F(0.5)),
             ],
         );
-        enter_domain(DomainBuffer::snapshot());
         emit(TraceCat::Ide, Time::from_ns(5), 2, "grant", &[("bytes", TraceVal::U(4096))]);
-        let mut buf = exit_domain();
-        let staged = buf.drain_staged();
-        assert_eq!(staged.len(), 1);
-        assert!(
-            matches!(staged[0].1, Staged::Event(_)),
-            "binary-mode domain buffers must stage structured events"
-        );
-        sink_staged(staged.into_iter().map(|(_, s)| s));
         assert_eq!(lines_emitted(), 2);
         assert!(recent_lines().is_empty(), "binary sink bypasses the ring");
         disable(); // finishes the store
@@ -1080,20 +800,6 @@ mod tests {
             ]
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parked_domain_buffer_is_one_pointer() {
-        // The partitioned kernel moves this handle into and out of
-        // thread-local storage on every domain window.
-        assert_eq!(
-            std::mem::size_of::<DomainBuffer>(),
-            std::mem::size_of::<usize>()
-        );
-        let mut inert = DomainBuffer::default();
-        assert!(inert.is_inert());
-        inert.emit(TraceCat::Llc, Time::ZERO, 0, "hit", &[]);
-        assert!(inert.drain_staged().is_empty());
     }
 
     #[test]

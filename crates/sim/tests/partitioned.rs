@@ -1,36 +1,37 @@
-//! Cross-domain ordering properties of [`PartitionedSimulation`].
+//! Simulations partitioned across worker threads.
 //!
-//! The partitioned kernel's contract has two layers, and the suite tests
-//! them separately:
+//! The workspace parallelises by whole simulation: `par_map` hands each
+//! machine to a worker thread, steps several in turn on one worker, and a
+//! machine may resume on a different thread between run calls. None of
+//! that may change what a simulation delivers. The suite holds the kernel
+//! to two things:
 //!
-//! * **Worker-count determinism (exact):** the delivered order is a pure
-//!   function of the schedule — the inline epoch driver and the threaded
-//!   driver produce byte-identical per-component delivery logs.
-//! * **Sequential equivalence (tie-robust):** against the sequential
-//!   kernel the partitioned run delivers the same events at the same
-//!   times to the same components. Equal-time ties *across different
-//!   sender domains* may resolve in a different (still deterministic)
-//!   order: composite seqs sort by `(domain, counter)` where the
-//!   sequential kernel sorts by global post order. The oracle
-//!   comparisons therefore canonicalize within each timestamp.
+//! * **A reference model (exact):** deliveries come in strict
+//!   `(time, seq)` order, `seq` being global post order, and an event at
+//!   exactly a `run_until` deadline is delivered by that call. A twenty-line
+//!   heap model ([`oracle`]) computes the expected per-component logs.
+//! * **Thread and boundary independence (exact):** splitting a run into
+//!   many short calls, moving the simulation to a fresh thread for each,
+//!   or running it on a `par_map` worker yields byte-identical logs,
+//!   event counts and trace lines.
 
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use pard_sim::check::cases;
+use pard_sim::par::par_map_with;
 use pard_sim::rng::Rng;
 use pard_sim::trace::{self, TraceCat, TraceConfig, TraceVal};
-use pard_sim::{Component, ComponentId, Ctx, PartitionedSimulation, Simulation, Time};
+use pard_sim::{Component, ComponentId, Ctx, Simulation, Time};
 
-/// Lookahead used throughout: every cross-domain send in these tests
-/// travels exactly one or more multiples of this, so remote arrivals land
-/// *exactly on* epoch horizons — the boundary the conservative protocol
-/// must treat as "next epoch, not this one".
+/// Epoch length used throughout: every send travels one to three
+/// multiples of this, so arrivals land exactly on the boundaries the
+/// tests split their runs at.
 const LA: u64 = 64;
 
 /// A node that logs every delivery and forwards a decremented payload to
 /// a peer chosen by the payload itself. Behavior is a pure function of
-/// the received event, so sequential and partitioned runs generate the
-/// identical schedule.
+/// the received event, so the reference model can replay it.
 struct Node {
     fanout: u32,
     log: Vec<(u64, u64)>, // (delivery time in units, payload)
@@ -42,26 +43,22 @@ impl Component<u64> for Node {
     }
     fn handle(&mut self, ev: u64, ctx: &mut Ctx<'_, u64>) {
         self.log.push((ctx.now().units(), ev));
-        forward(ev, self.fanout, ctx);
+        if let Some((dst, delay, payload)) = next_hop(ctx.self_id().raw(), ev, self.fanout) {
+            ctx.send(ComponentId::from_raw(dst), Time::from_units(delay), payload);
+        }
     }
     pard_sim::impl_as_any!();
 }
 
-/// Forwards a decremented payload to a peer chosen by the payload. Hop
-/// distance and delay derive from the payload; the delay is always a whole
-/// number of lookaheads, so the send is legal for any
-/// component-to-domain assignment.
-fn forward(ev: u64, fanout: u32, ctx: &mut Ctx<'_, u64>) {
+/// The send a node at `at` makes on receiving `ev`: destination, delay
+/// in units (a whole number of [`LA`]) and payload. Payload zero ends the
+/// chain.
+fn next_hop(at: u32, ev: u64, fanout: u32) -> Option<(u32, u64, u64)> {
     if ev == 0 {
-        return;
+        return None;
     }
-    let dst = (ctx.self_id().raw() as u64 + ev) % fanout as u64;
-    let hops = 1 + ev % 3;
-    ctx.send(
-        ComponentId::from_raw(dst as u32),
-        Time::from_units(LA * hops),
-        ev - 1,
-    );
+    let dst = (at as u64 + ev) % fanout as u64;
+    Some((dst as u32, LA * (1 + ev % 3), ev - 1))
 }
 
 /// A [`Node`] that records each delivery as a kernel trace line instead
@@ -84,12 +81,17 @@ impl Component<u64> for TracingNode {
                 &[("payload", TraceVal::U(ev))],
             );
         }
-        forward(ev, self.fanout, ctx);
+        if let Some((dst, delay, payload)) = next_hop(ctx.self_id().raw(), ev, self.fanout) {
+            ctx.send(ComponentId::from_raw(dst), Time::from_units(delay), payload);
+        }
     }
     pard_sim::impl_as_any!();
 }
 
-/// Builds `n` nodes and posts the seed schedule into a fresh kernel.
+/// Per-component delivery logs and the event count.
+type Logs = (Vec<Vec<(u64, u64)>>, u64);
+
+/// Builds `n` nodes and posts the seed schedule `(dst, at, payload)`.
 fn build(n: u32, seeds: &[(u32, u64, u64)]) -> Simulation<u64> {
     let mut sim: Simulation<u64> = Simulation::new();
     for _ in 0..n {
@@ -104,75 +106,64 @@ fn build(n: u32, seeds: &[(u32, u64, u64)]) -> Simulation<u64> {
     sim
 }
 
-/// Per-component delivery logs after running `sim` sequentially.
-fn run_sequential(n: u32, seeds: &[(u32, u64, u64)], until: Time) -> (Vec<Vec<(u64, u64)>>, u64) {
-    let mut sim = build(n, seeds);
-    sim.run_until(until);
+fn logs(mut sim: Simulation<u64>, n: u32) -> Logs {
     let logs = (0..n)
         .map(|c| sim.with_component::<Node, _, _>(ComponentId::from_raw(c), |x| x.log.clone()))
         .collect();
     (logs, sim.events_processed())
 }
 
-/// Per-component delivery logs after running the same schedule
-/// partitioned by `domain_of`, with the worker count pinned.
-fn run_partitioned(
-    n: u32,
-    seeds: &[(u32, u64, u64)],
-    domain_of: Vec<u32>,
-    workers: usize,
-    until: Time,
-) -> (Vec<Vec<(u64, u64)>>, u64) {
-    let sim = build(n, seeds);
-    let mut part = PartitionedSimulation::new(sim, domain_of, None, Time::from_units(LA));
-    part.set_workers(Some(workers));
-    part.run_until(until);
-    let logs = (0..n)
-        .map(|c| part.with_component::<Node, _, _>(ComponentId::from_raw(c), |x| x.log.clone()))
-        .collect();
-    (logs, part.events_processed())
+/// The reference model: a heap ordered by `(time, seq)`, `seq` counting
+/// every post and send in issue order, delivering everything due at or
+/// before `until`.
+fn oracle(n: u32, seeds: &[(u32, u64, u64)], until: u64) -> Logs {
+    let mut heap = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &(dst, at, payload) in seeds {
+        heap.push(Reverse((at, seq, dst, payload)));
+        seq += 1;
+    }
+    let mut logs = vec![Vec::new(); n as usize];
+    let mut events = 0;
+    while let Some(Reverse((t, _, dst, ev))) = heap.pop() {
+        if t > until {
+            break;
+        }
+        logs[dst as usize].push((t, ev));
+        events += 1;
+        if let Some((to, delay, payload)) = next_hop(dst, ev, n) {
+            heap.push(Reverse((t + delay, seq, to, payload)));
+            seq += 1;
+        }
+    }
+    (logs, events)
 }
 
-/// As [`run_partitioned`], but advancing in `chunk`-sized `run_for`
-/// calls until `until`, the way a harness samples a machine.
-fn run_partitioned_chunked(
-    n: u32,
-    seeds: &[(u32, u64, u64)],
-    domain_of: Vec<u32>,
-    workers: usize,
-    chunk: Time,
-    until: Time,
-) -> (Vec<Vec<(u64, u64)>>, u64) {
-    let sim = build(n, seeds);
-    let mut part = PartitionedSimulation::new(sim, domain_of, None, Time::from_units(LA));
-    part.set_workers(Some(workers));
-    while part.now() < until {
-        part.run_for(chunk);
-    }
-    let logs = (0..n)
-        .map(|c| part.with_component::<Node, _, _>(ComponentId::from_raw(c), |x| x.log.clone()))
-        .collect();
-    (logs, part.events_processed())
+/// Runs `sim` to `until` in one call on this thread.
+fn run_long(n: u32, seeds: &[(u32, u64, u64)], until: u64) -> Logs {
+    let mut sim = build(n, seeds);
+    sim.run_until(Time::from_units(until));
+    logs(sim, n)
 }
 
-/// Canonicalizes a delivery log for comparison against a kernel with a
-/// different tie-ordering rule: entries at the same timestamp are sorted
-/// by payload. Ordering *across* timestamps is untouched.
-fn tie_sorted(log: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut out = log.to_vec();
-    out.sort_by_key(|&(t, p)| (t, p));
-    // A stable per-timestamp sort must not have reordered distinct times.
-    for w in out.windows(2) {
-        assert!(w[0].0 <= w[1].0);
-    }
-    out
+/// Hands `sim` to a fresh thread, runs `f` on it there, and takes it back:
+/// what `par_map` does to a machine that resumes on another worker.
+fn on_fresh_thread<T: Send>(mut sim: T, f: impl FnOnce(&mut T) + Send) -> T {
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            f(&mut sim);
+            sim
+        })
+        .join()
+        .expect("the moved simulation runs clean")
+    })
 }
 
 /// Every component shares the same seed timestamps — all exact multiples
-/// of the lookahead — and every forward lands on an epoch horizon too, so
-/// each epoch boundary carries a pile of equal-time ties from different
-/// domains. The threaded and inline drivers must agree exactly; the
-/// sequential oracle must agree up to tie order.
+/// of the epoch length — and every forward lands on a boundary too, so
+/// each boundary carries a pile of equal-time ties from different senders.
+/// Running in one-epoch `run_until` calls must deliver exactly what one
+/// long run delivers, in the reference model's tie order.
 #[test]
 fn equal_time_ties_at_epoch_boundaries() {
     let n = 4u32;
@@ -182,95 +173,122 @@ fn equal_time_ties_at_epoch_boundaries() {
             seeds.push((c, k * LA, 3 + (c as u64 + k) % 4));
         }
     }
-    let until = Time::from_units(10_000 * LA);
-    let per_domain: Vec<u32> = (0..n).collect();
+    let until = 10_000 * LA;
 
-    let (seq_logs, seq_events) = run_sequential(n, &seeds, until);
-    let (inline_logs, inline_events) = run_partitioned(n, &seeds, per_domain.clone(), 1, until);
-    let (threaded_logs, threaded_events) = run_partitioned(n, &seeds, per_domain, 2, until);
+    let (long_logs, long_events) = run_long(n, &seeds, until);
+    let mut sim = build(n, &seeds);
+    for k in 1..=until / LA {
+        sim.run_until(Time::from_units(k * LA));
+        assert_eq!(sim.now(), Time::from_units(k * LA));
+    }
+    let (epoch_logs, epoch_events) = logs(sim, n);
+    let (oracle_logs, oracle_events) = oracle(n, &seeds, until);
 
-    assert_eq!(inline_logs, threaded_logs, "inline vs threaded must be exact");
-    assert_eq!(inline_events, threaded_events);
-    assert_eq!(seq_events, inline_events);
-    for c in 0..n as usize {
-        assert!(!seq_logs[c].is_empty(), "test must exercise component {c}");
-        assert_eq!(tie_sorted(&seq_logs[c]), tie_sorted(&inline_logs[c]));
+    assert_eq!(
+        epoch_logs, long_logs,
+        "epoch boundaries must not reorder ties"
+    );
+    assert_eq!(epoch_events, long_events);
+    assert_eq!(long_logs, oracle_logs, "ties resolve in post order");
+    assert_eq!(long_events, oracle_events);
+    let mut times: Vec<u64> = long_logs.iter().flatten().map(|&(t, _)| t).collect();
+    times.sort_unstable();
+    assert!(
+        times.windows(2).any(|w| w[0] == w[1]),
+        "the schedule must carry equal-time ties"
+    );
+    for (c, log) in long_logs.iter().enumerate() {
+        assert!(!log.is_empty(), "test must exercise component {c}");
     }
 }
 
-/// Two nodes in two domains ping-pong with a delay of exactly one
-/// lookahead: every remote arrival lands precisely on the next epoch's
-/// horizon, the tightest arrival the conservative protocol admits. The
-/// alternating schedule has no ties, so all three runs must be exact.
+/// A forty-hop chain between two nodes whose every arrival is a
+/// `run_until` deadline: each call runs, on a fresh thread, exactly to the
+/// next arrival time and must deliver that arrival itself rather than
+/// leave it to the next call.
 #[test]
 fn remote_arrivals_exactly_at_lookahead_horizon() {
     let n = 2u32;
-    // Payload 40 with hops = 1 + ev % 3: pin payloads to ev % 3 == 0 so
-    // every hop is exactly one lookahead.
     let seeds = [(0u32, LA, 39u64)];
-    let until = Time::from_units(1_000_000);
+    let until = 1_000_000u64;
 
-    let (seq_logs, seq_events) = run_sequential(n, &seeds, until);
-    let (inline_logs, inline_events) = run_partitioned(n, &seeds, vec![0, 1], 1, until);
-    let (threaded_logs, threaded_events) = run_partitioned(n, &seeds, vec![0, 1], 2, until);
+    let (long_logs, long_events) = run_long(n, &seeds, until);
+    let mut arrivals: Vec<u64> = long_logs.iter().flatten().map(|&(t, _)| t).collect();
+    arrivals.sort_unstable();
+    let mut sim = build(n, &seeds);
+    for (k, &at) in arrivals.iter().enumerate() {
+        sim = on_fresh_thread(sim, |s| s.run_until(Time::from_units(at)));
+        assert_eq!(sim.now(), Time::from_units(at));
+        assert_eq!(
+            sim.events_processed(),
+            k as u64 + 1,
+            "the arrival at the deadline {at} belongs to this call"
+        );
+    }
+    sim = on_fresh_thread(sim, |s| s.run_until(Time::from_units(until)));
+    let (moved_logs, moved_events) = logs(sim, n);
 
-    assert_eq!(seq_logs, inline_logs, "tie-free schedule must match exactly");
-    assert_eq!(inline_logs, threaded_logs);
-    assert_eq!(seq_events, inline_events);
-    assert_eq!(inline_events, threaded_events);
-    // 40 deliveries happened, alternating between the two nodes.
-    assert_eq!(seq_events, 40);
-    let times: Vec<u64> = inline_logs[0]
-        .iter()
-        .chain(&inline_logs[1])
-        .map(|&(t, _)| t)
-        .collect();
-    assert!(times.iter().all(|t| t % LA == 0), "every arrival sits on a horizon");
+    assert_eq!(
+        moved_logs, long_logs,
+        "moving threads must not change delivery"
+    );
+    assert_eq!(moved_events, long_events);
+    assert_eq!((long_logs.clone(), long_events), oracle(n, &seeds, until));
+    assert_eq!(long_events, 40, "one delivery per payload 39..=0");
+    assert!(
+        long_logs.iter().all(|log| !log.is_empty()),
+        "both nodes receive"
+    );
+    assert!(
+        arrivals.windows(2).all(|w| w[0] < w[1]),
+        "one arrival per deadline"
+    );
+    assert!(
+        arrivals.iter().all(|t| t % LA == 0),
+        "every arrival sits on a boundary"
+    );
 }
 
-/// Randomized closure: a seeded schedule over a random node count is run
-/// under a *random* component-to-domain assignment (including lopsided
-/// maps and domains holding zero or all components) and must reproduce
-/// the sequential kernel's deliveries — exactly when inline and threaded
-/// are compared, tie-canonically against the oracle.
+/// Randomized closure: a seeded batch of simulations, each over a random
+/// node count and schedule, is assigned to a random number of `par_map`
+/// workers (so several share a worker, or each gets its own) and must
+/// reproduce the reference model exactly, simulation by simulation.
 #[test]
 fn seeded_random_assignment_matches_sequential_oracle() {
     cases("partitioned.random_assignment", 48, |rng| {
-        let n = rng.gen_range(2u32..9);
-        let domains = rng.gen_range(1u32..5);
-        let domain_of: Vec<u32> = (0..n).map(|_| rng.gen_range(0..domains)).collect();
-        let seeds: Vec<(u32, u64, u64)> = (0..rng.gen_range(1usize..12))
+        let batch: Vec<(u32, Vec<(u32, u64, u64)>)> = (0..rng.gen_range(1usize..6))
             .map(|_| {
-                (
-                    rng.gen_range(0..n),
-                    rng.gen_range(1u64..40) * LA,
-                    rng.gen_range(0u64..12),
-                )
+                let n = rng.gen_range(2u32..9);
+                let seeds = (0..rng.gen_range(1usize..12))
+                    .map(|_| {
+                        (
+                            rng.gen_range(0..n),
+                            rng.gen_range(1u64..40) * LA,
+                            rng.gen_range(0u64..12),
+                        )
+                    })
+                    .collect();
+                (n, seeds)
             })
             .collect();
-        let until = Time::from_units(100_000 * LA);
+        let until = 100_000 * LA;
         let workers = rng.gen_range(1usize..4);
 
-        let (seq_logs, seq_events) = run_sequential(n, &seeds, until);
-        let (part_logs, part_events) =
-            run_partitioned(n, &seeds, domain_of.clone(), 1, until);
-        let (thr_logs, thr_events) = run_partitioned(n, &seeds, domain_of, workers, until);
-
-        assert_eq!(part_logs, thr_logs, "worker count must not change delivery");
-        assert_eq!(part_events, thr_events);
-        assert_eq!(seq_events, part_events);
-        for c in 0..n as usize {
-            assert_eq!(tie_sorted(&seq_logs[c]), tie_sorted(&part_logs[c]));
-        }
+        let expected: Vec<Logs> = batch
+            .iter()
+            .map(|(n, seeds)| oracle(*n, seeds, until))
+            .collect();
+        let got = par_map_with(workers, batch.clone(), |(n, seeds)| {
+            run_long(n, &seeds, until)
+        });
+        assert_eq!(got, expected, "workers={workers}");
     });
 }
 
-/// Many short `run_for` calls, each shorter than one lookahead, so the
-/// last epoch of nearly every call routes cross-domain sends that are due
-/// only in a later call. The threaded driver must hand those to their
-/// domains before returning (they once died with its mailboxes), and so
-/// deliver exactly what the inline driver delivers — and what one long
-/// run delivers.
+/// Many short `run_for` calls, each shorter than one epoch and each on a
+/// fresh thread, so nearly every call returns with sends in flight that
+/// are due only in a later call, on another thread. The chunked run must
+/// deliver exactly what one long run delivers.
 #[test]
 fn threaded_driver_keeps_cross_domain_sends_across_short_run_for_calls() {
     let n = 4u32;
@@ -282,17 +300,27 @@ fn threaded_driver_keeps_cross_domain_sends_across_short_run_for_calls() {
     }
     let until = Time::from_units(200 * LA);
     let chunk = Time::from_units(LA / 2 + 3);
-    let per_domain: Vec<u32> = (0..n).collect();
 
-    let (long_logs, long_events) = run_partitioned(n, &seeds, per_domain.clone(), 1, until);
-    let (inline_logs, inline_events) =
-        run_partitioned_chunked(n, &seeds, per_domain.clone(), 1, chunk, until);
-    let (threaded_logs, threaded_events) =
-        run_partitioned_chunked(n, &seeds, per_domain, 2, chunk, until);
+    let (long_logs, long_events) = run_long(n, &seeds, until.units());
+    let mut inline = build(n, &seeds);
+    let mut moved = build(n, &seeds);
+    while inline.now() < until {
+        inline.run_for(chunk);
+        moved = on_fresh_thread(moved, |s| s.run_for(chunk));
+        assert_eq!(moved.now(), inline.now());
+    }
+    let (inline_logs, inline_events) = logs(inline, n);
+    let (moved_logs, moved_events) = logs(moved, n);
 
     assert!(long_events > 100, "the schedule must cross many chunks");
-    assert_eq!(inline_events, threaded_events, "threaded driver lost events");
-    assert_eq!(inline_logs, threaded_logs, "inline vs threaded must be exact");
+    assert_eq!(
+        inline_events, moved_events,
+        "the moved simulation lost events"
+    );
+    assert_eq!(
+        inline_logs, moved_logs,
+        "moving threads must not change delivery"
+    );
     // The chunked run stops at or just past `until`; everything the long
     // run delivered up to `until` must be there, in the same order.
     for c in 0..n as usize {
@@ -305,10 +333,12 @@ fn threaded_driver_keeps_cross_domain_sends_across_short_run_for_calls() {
     }
 }
 
-/// Serializes the tests that install the process-global tracer.
-static TRACER: Mutex<()> = Mutex::new(());
-
-fn install_ring_tracer() {
+/// Runs tracing nodes in one-epoch calls into a fresh ring tracer, either
+/// all on this thread or each call on a fresh thread. Returns the ring's
+/// lines, the tracer's emitted count and the events delivered.
+fn traced_run(threaded: bool) -> (Vec<String>, u64, u64) {
+    let n = 6u32;
+    trace::disable();
     trace::install(TraceConfig {
         filter: vec![(TraceCat::Kernel, None)],
         sample: vec![(TraceCat::Kernel, 1)],
@@ -316,18 +346,6 @@ fn install_ring_tracer() {
         ..TraceConfig::default()
     })
     .unwrap();
-}
-
-/// Runs tracing nodes partitioned into a serial domain and two worker
-/// domains with the worker count pinned, installing the tracer before or
-/// after partitioning. Returns the ring's lines, the tracer's emitted
-/// count and the events delivered.
-fn traced_run(workers: usize, tracer_before_partition: bool) -> (Vec<String>, u64, u64) {
-    let n = 6u32;
-    trace::disable();
-    if tracer_before_partition {
-        install_ring_tracer();
-    }
     let mut sim: Simulation<u64> = Simulation::new();
     for _ in 0..n {
         sim.add_component(Box::new(TracingNode { fanout: n }));
@@ -336,44 +354,42 @@ fn traced_run(workers: usize, tracer_before_partition: bool) -> (Vec<String>, u6
         let at = Time::from_units(LA * (1 + c as u64 % 2));
         sim.post(ComponentId::from_raw(c), at, 30 + c as u64);
     }
-    let domain_of: Vec<u32> = (0..n).map(|c| c % 3).collect();
-    let mut part = PartitionedSimulation::new(sim, domain_of, Some(0), Time::from_units(LA));
-    if !tracer_before_partition {
-        install_ring_tracer();
+    for k in 1..=200u64 {
+        let deadline = Time::from_units(k * LA);
+        if threaded {
+            sim = on_fresh_thread(sim, |s| s.run_until(deadline));
+        } else {
+            sim.run_until(deadline);
+        }
     }
-    part.set_workers(Some(workers));
-    part.run_until(Time::from_units(200 * LA));
-    let out = (trace::recent_lines(), trace::lines_emitted(), part.events_processed());
+    let out = (
+        trace::recent_lines(),
+        trace::lines_emitted(),
+        sim.events_processed(),
+    );
     trace::disable();
     out
 }
 
-/// A tracer installed before partitioning snapshots into every domain
-/// buffer; the inline and threaded drivers must then leave the identical
-/// ring, one line per delivery, merged in `(time, domain)` order.
+/// The tracer is process-wide, so a simulation that hops threads between
+/// calls traces every delivery exactly as one that stays put: one line per
+/// delivery, in delivery order. This is the only test in the file that
+/// installs the tracer.
 #[test]
 fn inline_and_threaded_drivers_leave_identical_trace_lines() {
-    let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-    let (inline_lines, inline_emitted, inline_events) = traced_run(1, true);
-    let (threaded_lines, threaded_emitted, threaded_events) = traced_run(2, true);
+    let (inline_lines, inline_emitted, inline_events) = traced_run(false);
+    let (threaded_lines, threaded_emitted, threaded_events) = traced_run(true);
     assert!(inline_events > 100, "the schedule must cross many epochs");
     assert_eq!(inline_events, threaded_events);
-    assert_eq!(inline_lines.len() as u64, inline_events, "one line per delivery");
+    assert_eq!(
+        inline_lines.len() as u64,
+        inline_events,
+        "one line per delivery"
+    );
     assert_eq!(inline_emitted, inline_events);
     assert_eq!(threaded_emitted, threaded_events);
-    assert_eq!(inline_lines, threaded_lines, "drivers must trace identically");
-}
-
-/// A tracer installed after partitioning finds every domain buffer inert:
-/// neither driver records a domain line, even though the category is
-/// enabled while the components emit.
-#[test]
-fn tracer_installed_after_partitioning_records_no_domain_lines() {
-    let _serial = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-    for workers in [1, 2] {
-        let (lines, emitted, events) = traced_run(workers, false);
-        assert!(events > 100, "the schedule must cross many epochs");
-        assert!(lines.is_empty(), "workers={workers}: {} lines recorded", lines.len());
-        assert_eq!(emitted, 0, "workers={workers}");
-    }
+    assert_eq!(
+        inline_lines, threaded_lines,
+        "threads must trace identically"
+    );
 }

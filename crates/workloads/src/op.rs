@@ -57,8 +57,8 @@ pub enum Op {
 /// the `now` of the following `next_op` call — which is how the memcached
 /// engine measures response times without extra plumbing.
 ///
-/// `Send` is required because the core hosting an engine may be moved to a
-/// partitioned-kernel worker thread; only one thread drives an engine at a
+/// `Send` is required because `par_map` may move the machine hosting an
+/// engine to another worker thread; only one thread drives an engine at a
 /// time.
 pub trait WorkloadEngine: Send + 'static {
     /// Engine name for diagnostics.
